@@ -20,7 +20,6 @@ from gcollatz.family import (
     attractor_set,
     exceptional_registry,
     identify_pq,
-    make_equal,
     make_pq,
     trivial_cycle_general,
     trivial_cycle_pq,

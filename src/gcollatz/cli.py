@@ -15,7 +15,7 @@ import sys
 from decimal import Decimal, InvalidOperation
 
 from gcollatz import __version__
-from gcollatz.core import DomainError, Triplet, validate_triplet
+from gcollatz.core import DomainError, InternalError, Triplet, validate_triplet
 from gcollatz.dynamics import (
     DEFAULT_BLOCK,
     DEFAULT_BUDGET,
@@ -25,6 +25,7 @@ from gcollatz.dynamics import (
     verify_range,
 )
 from gcollatz.family import (
+    VerificationError,
     attractor_minima,
     identify_pq,
     make_pq,
@@ -34,6 +35,7 @@ from gcollatz.identities import PreconditionError, check_identity
 from gcollatz.invgraph import build_inverse_graph, export_dot, export_json
 
 WORKERS_ENV = "GCOLLATZ_WORKERS"
+MAX_INT_DIGITS = 4300  # CPython's default int/str conversion limit
 
 # Reference maxima for the comparison column of the table command, indexed
 # by p (bundled from prior published runs at n_max = 1e7).
@@ -46,11 +48,16 @@ REFERENCE_MAX_SIGMA = {
 
 
 def exact_int(text: str) -> int:
-    """Parse '123', '1e7', '6.5e9' to an exact int; reject inexact values."""
+    """Parse '123', '1e7', '6.5e9' to an exact int; reject inexact,
+    non-finite and over-long values."""
     try:
         value = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    if value.adjusted() >= MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_INT_DIGITS} digits: {text!r}")
     if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
@@ -209,7 +216,6 @@ def cmd_verify(args) -> int:
         workers=args.workers,
         checkpoint=args.checkpoint,
         block_size=args.block_size,
-        sieve=args.sieve,
     )
     if args.format == "csv":
         cols = [
@@ -356,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--block-size", type=exact_int, default=DEFAULT_BLOCK)
     sp.add_argument("--workers", type=int, default=default_workers())
     sp.add_argument("--checkpoint", help="line-delimited JSON journal for resume")
-    sp.add_argument("--sieve", action="store_true",
-                    help="certify closed-form residue classes without iterating (descent mode)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--timing", action="store_true", help="include wall_time in the report")
     sp.set_defaults(fn=cmd_verify)
@@ -401,6 +405,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DomainError as err:
         print(f"error [{err.code}]: {err}", file=sys.stderr)
+        return 1
+    except (InternalError, VerificationError) as err:
+        print(f"error [{type(err).__name__}]: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -111,6 +111,19 @@ def decompose(t: Triplet) -> Decomposition:
     return t.decomposition
 
 
+def check_total(t: Triplet) -> None:
+    """Reject triplets whose non-divisible branch can go non-positive.
+
+    Only possible for kappa0 = -1 with beta negative enough; the branch value
+    alpha*r + beta*(d-r) is linear in r, so the endpoints are the extremes.
+    """
+    if t.kappa0 == 1:
+        return
+    d = t.d
+    if min(t.alpha * r + t.beta * (d - r) for r in (1, d - 1)) <= 0:
+        raise DomainError("not_total", f"{t.label} maps some residue class to a non-positive value")
+
+
 def residue(n: int, t: Triplet) -> int:
     """Canonical remainder [kappa0*n]_d in [0, d)."""
     return (t.kappa0 * n) % t.d

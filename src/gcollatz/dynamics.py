@@ -15,10 +15,11 @@ import os
 import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from gcollatz.core import DomainError, Triplet, step
+from gcollatz.core import Triplet, check_total, step
 from gcollatz.family import Cycle, attractor_minima, canonical_cycle, exceptional_registry, make_pq
 
 DEFAULT_BUDGET = 10**6
@@ -27,19 +28,6 @@ DEFAULT_BLOCK = 2**16
 # array('I') sentinels for unresolved stopping times
 _UNKNOWN = 2**32 - 1   # budget exhausted
 _INF = 2**32 - 2       # provably never reaches the target set (trapped in another cycle)
-
-
-def _check_total(t: Triplet) -> None:
-    """Reject triplets whose non-divisible branch can go non-positive.
-
-    Only possible for kappa0 = -1 with beta negative enough; the branch value
-    alpha*r + beta*(d-r) is linear in r, so the endpoints are the extremes.
-    """
-    if t.kappa0 == 1:
-        return
-    d = t.d
-    if min(t.alpha * r + t.beta * (d - r) for r in (1, d - 1)) <= 0:
-        raise DomainError("not_total", f"{t.label} maps some residue class to a non-positive value")
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +55,7 @@ def trajectory(t: Triplet, n: int, stop=None, budget: int = DEFAULT_BUDGET) -> T
         budget, stop = stop, None
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
+    check_total(t)
     descent = stop == "descent"
     minima = None if (stop is None or descent) else frozenset(stop)
 
@@ -145,6 +134,7 @@ class CycleScan:
 def find_cycles_in_range(t: Triplet, n_max: int, budget: int = DEFAULT_BUDGET) -> CycleScan:
     """Distinct cycles found by running detect_cycle from every n <= n_max,
     deduplicated by minimum element; budget-exhausted seeds listed separately."""
+    check_total(t)
     found: dict[int, Cycle] = {}
     exhausted = []
     for n in range(1, n_max + 1):
@@ -205,16 +195,17 @@ class ScanReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
 
 
-def _certify_block(args):
+def _certify_block(args) -> dict:
     """Certify every seed of one block; runs in worker processes.
 
     Descent mode: a seed is verified once its orbit falls below the seed or
     enters the minima; n = 1 and minima members are base cases.  Attractor
     mode: the orbit must enter the minima; exact stopping counts are memoized
     block-locally (seeds are processed ascending, so any orbit value inside
-    the block and below the current seed is already resolved).
+    the block and below the current seed is already resolved).  Returns the
+    block's journal record.
     """
-    t, bstart, bend, mode, minima, budget, sieve = args
+    t, bstart, bend, mode, minima, budget = args
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
     minima = frozenset(minima)
     verified = 0
@@ -226,14 +217,6 @@ def _certify_block(args):
         ok = True
         if mode == "descent":
             if n != 1 and n not in minima:
-                if sieve and n % d == 0:
-                    # divisible class certified by the closed form T(n) = n/d,
-                    # which always descends in exactly one step
-                    # TODO: extend the sieve table to depth-k residue classes
-                    verified += 1
-                    if best is None or 1 > best[0]:
-                        best = (1, n)
-                    continue
                 v = n
                 ok = False
                 while k < budget:
@@ -273,63 +256,6 @@ def _certify_block(args):
                 best = (k, n)
         else:
             failures.append(n)
-    return bstart, bend, verified, failures, best
-
-
-def _blocks(n_start: int, n_end: int, block_size: int):
-    b = n_start
-    while b <= n_end:
-        yield b, min(b + block_size - 1, n_end)
-        b += block_size
-
-
-def _checkpoint_header(t, n_start, n_end, mode, minima, budget, block_size, sieve) -> dict:
-    return {
-        "type": "scan_header",
-        "schema": "gcollatz.checkpoint/1",
-        "triplet": t.as_dict(),
-        "range": [n_start, n_end],
-        "mode": mode,
-        "minima": sorted(minima),
-        "budget": budget,
-        "block_size": block_size,
-        "sieve": sieve,
-    }
-
-
-def _load_checkpoint(path: str, header: dict) -> dict[int, tuple]:
-    """Return completed block results keyed by block start; tolerate a torn
-    trailing line.  Raises ValueError if the header does not match."""
-    done = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # line interrupted mid-write; its block is recomputed
-        if rec.get("type") == "scan_header":
-            stale = {k: rec.get(k) for k in header if k != "type"}
-            want = {k: header[k] for k in header if k != "type"}
-            if stale != want:
-                raise ValueError(f"checkpoint {path} belongs to a different scan")
-        elif rec.get("type") == "block":
-            done[rec["block_start"]] = (
-                rec["block_start"],
-                rec["block_end"],
-                rec["verified"],
-                rec["failures"],
-                tuple(rec["max_sigma"]) if rec["max_sigma"] else None,
-            )
-    return done
-
-
-def _block_record(res) -> dict:
-    bstart, bend, verified, failures, best = res
     return {
         "type": "block",
         "block_start": bstart,
@@ -342,6 +268,69 @@ def _block_record(res) -> dict:
     }
 
 
+def _blocks(n_start: int, n_end: int, block_size: int):
+    b = n_start
+    while b <= n_end:
+        yield b, min(b + block_size - 1, n_end)
+        b += block_size
+
+
+def _run_journaled(fn, jobs: dict, key: str, header: dict, checkpoint: str | None, workers: int) -> dict:
+    """Run fn on every job and return {job key: fn's journal record}.
+
+    jobs maps each key to fn's argument; record[key] names the job a record
+    belongs to.  With a checkpoint path, records journaled by an earlier run
+    of the same scan are reused, and each new record is appended and flushed
+    as soon as it exists.  A non-empty journal must start with a scan_header
+    line holding header's fields, else ValueError; torn record lines are
+    skipped (their jobs rerun) and a torn last line is sealed.
+    """
+    results = {}
+    opening = json.dumps(header, sort_keys=True) + "\n"
+    if checkpoint and os.path.exists(checkpoint):
+        with open(checkpoint, "rb") as fh:
+            data = fh.read()
+        lines = data.decode("utf-8", "replace").splitlines()
+        if lines:
+            try:
+                first = json.loads(lines[0])
+            except json.JSONDecodeError:
+                first = None
+            if not isinstance(first, dict) or first.get("type") != "scan_header":
+                raise ValueError(f"checkpoint {checkpoint} does not start with a scan header")
+            # only the current header's keys count, so older journals still resume
+            if any(first.get(k) != v for k, v in header.items()):
+                raise ValueError(f"checkpoint {checkpoint} belongs to a different scan")
+            for line in lines[1:]:
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    continue  # line interrupted mid-write; its job reruns
+                if isinstance(rec, dict) and rec.get(key) in jobs:
+                    results[rec[key]] = rec
+            opening = "" if data.endswith(b"\n") else "\n"
+
+    pending = [args for k, args in jobs.items() if k not in results]
+    with open(checkpoint, "a", encoding="utf-8") if checkpoint else nullcontext() as journal:
+
+        def record(rec):
+            results[rec[key]] = rec
+            if journal:
+                journal.write(json.dumps(rec, sort_keys=True) + "\n")
+                journal.flush()
+
+        if journal:
+            journal.write(opening)
+        if workers <= 1 or len(pending) <= 1:
+            for args in pending:
+                record(fn(args))
+        else:
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                for rec in pool.map(fn, pending):
+                    record(rec)
+    return results
+
+
 def verify_range(
     t: Triplet,
     n_start: int,
@@ -352,85 +341,51 @@ def verify_range(
     workers: int = 1,
     checkpoint: str | None = None,
     block_size: int = DEFAULT_BLOCK,
-    sieve: bool = False,
 ) -> ScanReport:
     """Certify every n in [n_start, n_end] (see _certify_block for the modes).
 
     The report is a pure function of (t, range, mode, minima, budget,
     block_size) -- worker count only affects wall time.  With a checkpoint
     path, completed blocks are journaled and a rerun resumes after them.
-    sieve=True lets descent mode certify closed-form residue classes
-    without iterating; it accelerates the scan but never changes a report
-    byte (certification step counts are exact either way).
     """
     t0 = time.perf_counter()
     if mode not in ("descent", "attractor"):
         raise ValueError(f"mode must be 'descent' or 'attractor', got {mode!r}")
     if n_start > n_end or n_start < 1:
         raise ValueError(f"bad range [{n_start}, {n_end}]")
-    minima = frozenset(minima) if minima is not None else frozenset()
+    minima = tuple(sorted(set(minima or ())))
     if mode == "attractor" and not minima:
         raise ValueError("attractor mode requires a nonempty minima set")
-    _check_total(t)
+    check_total(t)
 
-    header = _checkpoint_header(t, n_start, n_end, mode, minima, budget, block_size, sieve)
-    done = {}
-    ck = None
-    if checkpoint:
-        done = _load_checkpoint(checkpoint, header)
-        fresh = not os.path.exists(checkpoint) or os.path.getsize(checkpoint) == 0
-        torn = False
-        if not fresh:
-            with open(checkpoint, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                torn = fh.read(1) != b"\n"
-        ck = open(checkpoint, "a", encoding="utf-8")
-        if torn:
-            ck.write("\n")  # seal a line interrupted mid-write
-        if fresh:
-            ck.write(json.dumps(header, sort_keys=True) + "\n")
-            ck.flush()
-
-    try:
-        pending = [
-            (t, b0, b1, mode, tuple(sorted(minima)), budget, sieve)
-            for b0, b1 in _blocks(n_start, n_end, block_size)
-            if b0 not in done
-        ]
-        results = dict(done)
-
-        def record(res):
-            results[res[0]] = res
-            if ck:
-                ck.write(json.dumps(_block_record(res), sort_keys=True) + "\n")
-                ck.flush()
-
-        if workers <= 1 or len(pending) <= 1:
-            for args in pending:
-                record(_certify_block(args))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for res in pool.map(_certify_block, pending):
-                    record(res)
-    finally:
-        if ck:
-            ck.close()
+    header = {
+        "type": "scan_header",
+        "schema": "gcollatz.checkpoint/1",
+        "triplet": t.as_dict(),
+        "range": [n_start, n_end],
+        "mode": mode,
+        "minima": list(minima),
+        "budget": budget,
+        "block_size": block_size,
+    }
+    jobs = {b0: (t, b0, b1, mode, minima, budget) for b0, b1 in _blocks(n_start, n_end, block_size)}
+    results = _run_journaled(_certify_block, jobs, "block_start", header, checkpoint, workers)
 
     verified = 0
     failures: list[int] = []
     best = None
     for b0 in sorted(results):
-        _, _, v, fails, blockbest = results[b0]
-        verified += v
-        failures.extend(fails)
-        if blockbest is not None and (best is None or blockbest[0] > best[0]):
-            best = tuple(blockbest)
+        rec = results[b0]
+        verified += rec["verified"]
+        failures.extend(rec["failures"])
+        if rec["max_sigma"] is not None and (best is None or rec["max_sigma"][0] > best[0]):
+            best = rec["max_sigma"]
     return ScanReport(
         triplet=t,
         n_start=n_start,
         n_end=n_end,
         mode=mode,
-        minima=tuple(sorted(minima)),
+        minima=minima,
         budget=budget,
         block_size=block_size,
         verified=verified,
@@ -464,7 +419,8 @@ class MapSigmaScan:
     trivial_unreachable: int
 
 
-def _sigma_map_scan(args) -> MapSigmaScan:
+def _sigma_map_scan(args) -> dict:
+    """Scan one (p, q) column; returns its journal record (MapSigmaScan fields)."""
     p, q, n_max, budget = args
     t = make_pq(p, q)
     d, alpha, beta = t.d, t.alpha, t.beta
@@ -528,16 +484,17 @@ def _sigma_map_scan(args) -> MapSigmaScan:
         A[n] = a
         B[n] = b
 
-    return MapSigmaScan(
-        p=p,
-        q=q,
-        max_sigma=best_a[0],
-        argmax_n=best_a[1],
-        max_sigma_trivial=best_b[0],
-        argmax_n_trivial=best_b[1],
-        unknown=unknown,
-        trivial_unreachable=trivial_unreachable,
-    )
+    return {
+        "type": "map",
+        "p": p,
+        "q": q,
+        "max_sigma": best_a[0],
+        "argmax_n": best_a[1],
+        "max_sigma_trivial": best_b[0],
+        "argmax_n_trivial": best_b[1],
+        "unknown": unknown,
+        "trivial_unreachable": trivial_unreachable,
+    }
 
 
 @dataclass(frozen=True)
@@ -582,30 +539,6 @@ class MaxStoppingScan:
         }
 
 
-def _load_map_checkpoint(path: str, header: dict) -> dict[int, MapSigmaScan]:
-    done = {}
-    if not os.path.exists(path):
-        return done
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if rec.get("type") == "scan_header":
-            stale = {k: rec.get(k) for k in header if k != "type"}
-            want = {k: header[k] for k in header if k != "type"}
-            if stale != want:
-                raise ValueError(f"checkpoint {path} belongs to a different scan")
-        elif rec.get("type") == "map":
-            fields = {k: rec[k] for k in MapSigmaScan.__dataclass_fields__}
-            done[rec["q"]] = MapSigmaScan(**fields)
-    return done
-
-
 def max_stopping_scan(
     p: int,
     n_max: int,
@@ -628,45 +561,10 @@ def max_stopping_scan(
         "n_max": n_max,
         "budget": budget,
     }
-    done: dict[int, MapSigmaScan] = {}
-    ck = None
-    if checkpoint:
-        done = _load_map_checkpoint(checkpoint, header)
-        fresh = not os.path.exists(checkpoint) or os.path.getsize(checkpoint) == 0
-        torn = False
-        if not fresh:
-            with open(checkpoint, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                torn = fh.read(1) != b"\n"
-        ck = open(checkpoint, "a", encoding="utf-8")
-        if torn:
-            ck.write("\n")
-        if fresh:
-            ck.write(json.dumps(header, sort_keys=True) + "\n")
-            ck.flush()
-
-    try:
-        jobs = [(p, q, n_max, budget) for q in range(p + 1) if q not in done]
-        by_q = dict(done)
-
-        def record(m: MapSigmaScan):
-            by_q[m.q] = m
-            if ck:
-                rec = {"type": "map", **{k: getattr(m, k) for k in MapSigmaScan.__dataclass_fields__}}
-                ck.write(json.dumps(rec, sort_keys=True) + "\n")
-                ck.flush()
-
-        if workers <= 1 or len(jobs) <= 1:
-            for j in jobs:
-                record(_sigma_map_scan(j))
-        else:
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-                for m in pool.map(_sigma_map_scan, jobs):
-                    record(m)
-    finally:
-        if ck:
-            ck.close()
-    scans = [by_q[q] for q in sorted(by_q)]
+    jobs = {q: (p, q, n_max, budget) for q in range(p + 1)}
+    by_q = _run_journaled(_sigma_map_scan, jobs, "q", header, checkpoint, workers)
+    fields = MapSigmaScan.__dataclass_fields__
+    scans = [MapSigmaScan(**{k: by_q[q][k] for k in fields}) for q in sorted(by_q)]
 
     def aggregate(key_max, key_arg):
         best = (-1, 0, 0)  # (sigma, q, n)

@@ -62,11 +62,6 @@ def make_pq(p: int, q: int) -> Triplet:
     return validate_triplet(2**p + 2**q, 2**p + 2 ** (q + 1), 2**p)
 
 
-def make_equal(p: int) -> Triplet:
-    """The p = q member (2^(p+1), 3*2^p, 2^p)+."""
-    return make_pq(p, p)
-
-
 def identify_pq(t: Triplet) -> tuple[int, int] | None:
     """Recover (p, q) when t is a two-power family member, else None."""
     if t.kappa0 != 1:

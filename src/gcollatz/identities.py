@@ -15,7 +15,9 @@ import json
 import random
 from dataclasses import dataclass
 
-from gcollatz.core import Triplet, decompose, iterate, s_count, s_indicator, step
+from gcollatz.core import (
+    Decomposition, Triplet, check_total, decompose, iterate, s_count, s_indicator, step,
+)
 from gcollatz.dynamics import DEFAULT_BUDGET, total_stopping_time
 
 # sampling bounds: keep alpha**k cheap while forcing carries past machine words
@@ -59,18 +61,23 @@ def thm31_sigma(t: Triplet, a: int, k: int, n: int, minima, budget: int = DEFAUL
     return None if inner is None else inner + k
 
 
-def thm32_iterate(t: Triplet, a: int, k: int, r: int) -> int:
-    """T^(k)(a*d^k + kappa0*r) for lambda0 = 1 triplets, in closed form.
-
-    With k = q0*nu0 + r0: a*alpha^q0 + kappa0*r when r0 = 0, else
-    a*alpha^(q0+1) + kappa0*r*d^(nu0-r0).
-    """
+def _require_lambda0_one(t: Triplet) -> Decomposition:
     dec = decompose(t)
     if dec.lambda0 != 1:
         raise PreconditionError(
             "lambda0_not_one",
             f"{t.label}: alpha + kappa0*beta = {dec.lambda0}*d^{dec.nu0}, need lambda0 = 1",
         )
+    return dec
+
+
+def thm32_iterate(t: Triplet, a: int, k: int, r: int) -> int:
+    """T^(k)(a*d^k + kappa0*r) for lambda0 = 1 triplets, in closed form.
+
+    With k = q0*nu0 + r0: a*alpha^q0 + kappa0*r when r0 = 0, else
+    a*alpha^(q0+1) + kappa0*r*d^(nu0-r0).
+    """
+    dec = _require_lambda0_one(t)
     if a < 1 or not 1 <= r < t.d or k < 0:
         raise ValueError("need a >= 1, 0 <= k, 1 <= r < d")
     if a * t.d**k + t.kappa0 * r < 1:
@@ -163,6 +170,7 @@ def check_identity(theorem: str, t: Triplet, trials: int = 10**4, seed: int = 0)
     theorem is "31", "32" or "33".  Deterministic for a fixed seed; family
     preconditions are raised, never sampled around.
     """
+    check_total(t)
     rng = random.Random(seed)
     mismatches: list[dict] = []
 
@@ -181,12 +189,7 @@ def check_identity(theorem: str, t: Triplet, trials: int = 10**4, seed: int = 0)
             check("step", {"a": a, "k": k, "n": n}, thm31_step(t, a, k, n), step(t, m))
             check("iterate", {"a": a, "k": k, "n": n}, thm31_iterate(t, a, k, n), iterate(t, m, k))
     elif theorem == "32":
-        dec = decompose(t)
-        if dec.lambda0 != 1:
-            raise PreconditionError(
-                "lambda0_not_one",
-                f"{t.label}: alpha + kappa0*beta = {dec.lambda0}*d^{dec.nu0}, need lambda0 = 1",
-            )
+        _require_lambda0_one(t)
         for _ in range(trials):
             a, k, r = _draw_akr(rng, t, lambda r: r)
             m = a * t.d**k + t.kappa0 * r

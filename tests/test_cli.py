@@ -39,9 +39,10 @@ def test_exact_int():
     assert exact_int("1E7") == 10**7
     assert exact_int("6.5e9") == 6_500_000_000
     assert exact_int("2.0") == 2
+    assert exact_int("1e4299") == 10**4299  # 4300 digits, CPython's int-string limit
     import argparse
 
-    for bad in ("1.5", "abc", "6.55e1"):
+    for bad in ("1.5", "abc", "6.55e1", "inf", "-Infinity", "NaN", "sNaN", "1e4300", "1e999999999"):
         with pytest.raises(argparse.ArgumentTypeError):
             exact_int(bad)
 
@@ -152,11 +153,49 @@ def test_verify_deterministic_across_workers(capsys):
     assert a == b
 
 
-def test_verify_sieve_is_byte_identical(capsys):
-    argv = ["verify", "--p", "3", "--q", "1", "--to", "5e3", "--mode", "descent"]
-    _, plain = run(capsys, *argv)
-    _, sieved = run(capsys, *argv, "--sieve")
-    assert plain == sieved
+def test_verify_rejects_sieve(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "3", "--q", "1", "--to", "5e3", "--sieve"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("first", ['{"type": "scan_he', '{"block_start": 1, "type": "block"}'])
+def test_verify_refuses_headerless_checkpoint(tmp_path, capsys, first):
+    ck = tmp_path / "scan.ndjson"
+    ck.write_text(first + "\n")
+    code = main(["verify", "--p", "3", "--q", "1", "--to", "3e3", "--checkpoint", str(ck)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: checkpoint {ck}")
+
+
+NOT_TOTAL = ("--d", "3", "--alpha", "4", "--beta", "-5", "--kappa", "-1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("traj", "--n", "1"), ("cycles", "--to", "5"), ("identities", "--theorem", "31"),
+     ("verify", "--to", "10")],
+    ids=["traj", "cycles", "identities", "verify"],
+)
+def test_not_total_triplet_is_a_named_error(capsys, argv):
+    code = main([*argv, *NOT_TOTAL])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error [not_total]: (3,4,-5)-")
+    assert "Traceback" not in err
+
+
+def test_main_names_internal_errors(capsys, monkeypatch):
+    from gcollatz import cli
+    from gcollatz.core import InternalError
+    from gcollatz.family import VerificationError
+
+    for exc in (InternalError("T(1) is not a positive integer"), VerificationError("cycle does not close")):
+        def fail(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "trajectory", fail)
+        assert main(["traj", "--p", "0", "--q", "0", "--n", "3"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error [{type(exc).__name__}]: {exc}"
 
 
 def test_traj_and_table_json_schemas(capsys):

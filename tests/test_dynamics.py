@@ -219,6 +219,99 @@ def test_verify_range_checkpoint_mismatch(tmp_path):
         verify_range(T_MOD10, 1, 3000, mode="descent", minima={4}, checkpoint=str(ck))
 
 
+# Record lines of two small journals, fixed before the journal code was
+# merged into one helper; resume and the README's format depend on them.
+VERIFY_JOURNAL_RECORDS = [
+    '{"argmax_n": 135, "block_end": 1000, "block_start": 1, "failures": [], "max_sigma": [47, 135], '
+    '"status": "pass", "type": "block", "verified": 1000}',
+    '{"argmax_n": 1144, "block_end": 2000, "block_start": 1001, "failures": [], "max_sigma": [35, 1144], '
+    '"status": "pass", "type": "block", "verified": 1000}',
+    '{"argmax_n": 2077, "block_end": 3000, "block_start": 2001, "failures": [], "max_sigma": [62, 2077], '
+    '"status": "pass", "type": "block", "verified": 1000}',
+]
+TABLE_JOURNAL_RECORDS = [
+    '{"argmax_n": 1383, "argmax_n_trivial": 1383, "max_sigma": 144, "max_sigma_trivial": 144, '
+    '"p": 2, "q": 0, "trivial_unreachable": 0, "type": "map", "unknown": 0}',
+    '{"argmax_n": 1619, "argmax_n_trivial": 1619, "max_sigma": 53, "max_sigma_trivial": 53, '
+    '"p": 2, "q": 1, "trivial_unreachable": 69, "type": "map", "unknown": 0}',
+    '{"argmax_n": 1403, "argmax_n_trivial": 1403, "max_sigma": 51, "max_sigma_trivial": 51, '
+    '"p": 2, "q": 2, "trivial_unreachable": 36, "type": "map", "unknown": 0}',
+]
+
+
+def test_journal_record_bytes(tmp_path):
+    ck = tmp_path / "verify.ndjson"
+    verify_range(T_MOD10, 1, 3000, mode="descent", minima={4}, block_size=1000, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    assert json.loads(lines[0])["type"] == "scan_header"
+    assert lines[1:] == VERIFY_JOURNAL_RECORDS
+
+    ck = tmp_path / "table.ndjson"
+    max_stopping_scan(2, 2000, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    assert json.loads(lines[0])["type"] == "scan_header"
+    assert lines[1:] == TABLE_JOURNAL_RECORDS
+
+
+def test_checkpoint_resumes_journal_with_extra_header_field(tmp_path):
+    # journals whose header carries a field the scan no longer writes (such
+    # as "sieve") still resume: only the current header's keys are compared
+    ck = tmp_path / "scan.ndjson"
+    kw = dict(mode="descent", minima={4}, block_size=1000, checkpoint=str(ck))
+    full = verify_range(T_MOD10, 1, 3000, **kw)
+    lines = ck.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["sieve"] = False
+    ck.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:-1]) + "\n")
+    resumed = verify_range(T_MOD10, 1, 3000, **kw)
+    assert resumed.json(include_timing=False) == full.json(include_timing=False)
+    assert ck.read_text().splitlines()[1:] == VERIFY_JOURNAL_RECORDS
+
+
+HEADERLESS_FIRST_LINES = [
+    '{"type": "scan_he',
+    VERIFY_JOURNAL_RECORDS[0],
+]
+
+
+@pytest.mark.parametrize("first", HEADERLESS_FIRST_LINES, ids=["torn", "block"])
+def test_verify_range_refuses_headerless_checkpoint(tmp_path, first):
+    # Without a header nothing ties the records to a scan.  Were the file
+    # trusted, the attractor run below would reuse the descent run's blocks
+    # and report pass instead of 2000 failures.
+    kw = dict(block_size=500)
+    trapped = dict(mode="attractor", minima={999999}, budget=1000, **kw)
+    assert len(verify_range(T_MOD10, 1, 2000, **trapped).failures) == 2000
+    ck = tmp_path / "scan.ndjson"
+    ck.write_text(first + "\n")
+    with pytest.raises(ValueError, match="scan header"):
+        verify_range(T_MOD10, 1, 2000, mode="descent", minima={4}, checkpoint=str(ck), **kw)
+    with pytest.raises(ValueError, match="scan header"):
+        verify_range(T_MOD10, 1, 2000, checkpoint=str(ck), **trapped)
+    assert ck.read_text() == first + "\n"  # a refused journal is left as it was
+
+
+@pytest.mark.parametrize("first", HEADERLESS_FIRST_LINES, ids=["torn", "block"])
+def test_max_stopping_scan_refuses_headerless_checkpoint(tmp_path, first):
+    ck = tmp_path / "table.ndjson"
+    ck.write_text(first + "\n" + TABLE_JOURNAL_RECORDS[0] + "\n")
+    for n_max in (2000, 500):
+        with pytest.raises(ValueError, match="scan header"):
+            max_stopping_scan(2, n_max, checkpoint=str(ck))
+    assert ck.read_text() == first + "\n" + TABLE_JOURNAL_RECORDS[0] + "\n"
+
+
+def test_max_stopping_scan_checkpoint_resume(tmp_path):
+    ck = tmp_path / "table.ndjson"
+    full = max_stopping_scan(2, 1500, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:20])  # torn last record
+    assert max_stopping_scan(2, 1500, checkpoint=str(ck)) == full
+    assert ck.read_text().splitlines()[-1] == lines[-1]
+    with pytest.raises(ValueError, match="different scan"):
+        max_stopping_scan(2, 1000, checkpoint=str(ck))
+
+
 def test_scan_report_json_shape():
     rep = verify_range(T_CLASSIC, 1, 500, mode="attractor", minima={1})
     doc = json.loads(rep.json())

@@ -11,7 +11,6 @@ from gcollatz.family import (
     attractor_set,
     exceptional_registry,
     identify_pq,
-    make_equal,
     make_pq,
     registry_diagnostics,
     trivial_cycle_general,
@@ -33,9 +32,12 @@ def test_make_pq_rejects_q_above_p():
 
 
 def test_make_equal():
-    assert make_equal(0) == make_pq(0, 0)
-    assert make_equal(1).as_dict() == {"d": 4, "alpha": 6, "beta": 2, "kappa0": 1}
-    assert make_equal(2).as_dict() == {"d": 8, "alpha": 12, "beta": 4, "kappa0": 1}
+    # the p = q member is (2^(p+1), 3*2^p, 2^p)+
+    assert make_pq(0, 0).as_dict() == {"d": 2, "alpha": 3, "beta": 1, "kappa0": 1}
+    assert make_pq(1, 1).as_dict() == {"d": 4, "alpha": 6, "beta": 2, "kappa0": 1}
+    assert make_pq(2, 2).as_dict() == {"d": 8, "alpha": 12, "beta": 4, "kappa0": 1}
+    for p in range(31):
+        assert make_pq(p, p).as_dict() == {"d": 2 ** (p + 1), "alpha": 3 * 2**p, "beta": 2**p, "kappa0": 1}
 
 
 def test_family_validates_exhaustively():
@@ -44,7 +46,6 @@ def test_family_validates_exhaustively():
             t = make_pq(p, q)  # validate_triplet raises if anything is off
             assert t.alpha == t.d + 2**q
             assert t.beta == t.d - 2**q
-            assert make_pq(p, p) == make_equal(p)
 
 
 def test_identify_pq():
