@@ -29,6 +29,13 @@ DEFAULT_BLOCK = 2**16
 _UNKNOWN = 2**32 - 1   # budget exhausted
 _INF = 2**32 - 2       # provably never reaches the target set (trapped in another cycle)
 
+# Attractor-mode step (at least 1) at which Brent's cycle test puts down its
+# first tortoise; later ones go down at twice the step count of the one before.
+# The tortoise rides in the set the loop already probes for minima, so a step
+# costs the same before and after it; the value only trades the boundary work
+# of short orbits against how late a trapped seed is caught.
+_TORTOISE_AT = 256
+
 
 # ---------------------------------------------------------------------------
 # trajectories and per-seed stopping quantities
@@ -202,7 +209,10 @@ def _certify_block(args) -> dict:
     enters the minima; n = 1 and minima members are base cases.  Attractor
     mode: the orbit must enter the minima; exact stopping counts are memoized
     block-locally (seeds are processed ascending, so any orbit value inside
-    the block and below the current seed is already resolved).  Returns the
+    the block and below the current seed is already resolved).  From step
+    _TORTOISE_AT on, Brent's cycle test runs as in detect_cycle: an orbit
+    that meets its tortoise again is trapped in a cycle with no minimum, and
+    the seed fails without spending the rest of the budget.  Returns the
     block's journal record.
     """
     t, bstart, bend, mode, minima, budget = args
@@ -212,6 +222,7 @@ def _certify_block(args) -> dict:
     failures = []
     best = None  # (steps, n)
     memo: dict[int, int] = {}
+    lim0 = min(budget, _TORTOISE_AT)
     for n in range(bstart, bend + 1):
         k = 0
         ok = True
@@ -233,20 +244,28 @@ def _certify_block(args) -> dict:
             if n not in minima:
                 v = n
                 sigma = -1
-                while k < budget:
-                    r = v % d
-                    if r:
-                        v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
+                stops, lim = minima, lim0
+                while True:
+                    while k < lim:
+                        r = v % d
+                        if r:
+                            v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
+                        else:
+                            v //= d
+                        k += 1
+                        if v in stops:
+                            if v in minima:  # else v is the tortoise: a cycle closed
+                                sigma = k
+                            break
+                        if bstart <= v < n:
+                            prior = memo[v]
+                            sigma = -1 if prior < 0 else k + prior
+                            break
                     else:
-                        v //= d
-                    k += 1
-                    if v in minima:
-                        sigma = k
-                        break
-                    if bstart <= v < n:
-                        prior = memo[v]
-                        sigma = -1 if prior < 0 else k + prior
-                        break
+                        if k < budget:  # move the tortoise to v and double the stretch
+                            stops, lim = minima | {v}, min(budget, 2 * k)
+                            continue
+                    break
                 memo[n] = sigma
                 ok = sigma >= 0
                 k = sigma
@@ -275,15 +294,37 @@ def _blocks(n_start: int, n_end: int, block_size: int):
         b += block_size
 
 
-def _run_journaled(fn, jobs: dict, key: str, header: dict, checkpoint: str | None, workers: int) -> dict:
+def _ints(x) -> bool:
+    return isinstance(x, list) and all(type(i) is int for i in x)
+
+
+def _block_record_ok(rec: dict) -> bool:
+    """Whether a journaled _certify_block record has what verify_range reads."""
+    best = rec.get("max_sigma")
+    return (
+        type(rec.get("verified")) is int
+        and _ints(rec.get("failures"))
+        and (best is None or (_ints(best) and len(best) == 2))
+    )
+
+
+def _map_record_ok(rec: dict) -> bool:
+    """Whether a journaled _sigma_map_scan record holds every MapSigmaScan field."""
+    return _ints([rec.get(k) for k in MapSigmaScan.__dataclass_fields__])
+
+
+def _run_journaled(
+    fn, jobs: dict, key: str, header: dict, checkpoint: str | None, workers: int, well_formed
+) -> dict:
     """Run fn on every job and return {job key: fn's journal record}.
 
     jobs maps each key to fn's argument; record[key] names the job a record
     belongs to.  With a checkpoint path, records journaled by an earlier run
     of the same scan are reused, and each new record is appended and flushed
     as soon as it exists.  A non-empty journal must start with a scan_header
-    line holding header's fields, else ValueError; torn record lines are
-    skipped (their jobs rerun) and a torn last line is sealed.
+    line holding header's fields, and every complete record of a job must
+    pass well_formed, else ValueError before any job runs; torn record lines
+    are skipped (their jobs rerun) and a torn last line is sealed.
     """
     results = {}
     opening = json.dumps(header, sort_keys=True) + "\n"
@@ -306,7 +347,11 @@ def _run_journaled(fn, jobs: dict, key: str, header: dict, checkpoint: str | Non
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # line interrupted mid-write; its job reruns
-                if isinstance(rec, dict) and rec.get(key) in jobs:
+                if isinstance(rec, dict) and type(rec.get(key)) is int and rec[key] in jobs:
+                    if not well_formed(rec):
+                        raise ValueError(
+                            f"checkpoint {checkpoint} has a malformed record for {key} {rec[key]}"
+                        )
                     results[rec[key]] = rec
             opening = "" if data.endswith(b"\n") else "\n"
 
@@ -369,7 +414,9 @@ def verify_range(
         "block_size": block_size,
     }
     jobs = {b0: (t, b0, b1, mode, minima, budget) for b0, b1 in _blocks(n_start, n_end, block_size)}
-    results = _run_journaled(_certify_block, jobs, "block_start", header, checkpoint, workers)
+    results = _run_journaled(
+        _certify_block, jobs, "block_start", header, checkpoint, workers, _block_record_ok
+    )
 
     verified = 0
     failures: list[int] = []
@@ -562,7 +609,7 @@ def max_stopping_scan(
         "budget": budget,
     }
     jobs = {q: (p, q, n_max, budget) for q in range(p + 1)}
-    by_q = _run_journaled(_sigma_map_scan, jobs, "q", header, checkpoint, workers)
+    by_q = _run_journaled(_sigma_map_scan, jobs, "q", header, checkpoint, workers, _map_record_ok)
     fields = MapSigmaScan.__dataclass_fields__
     scans = [MapSigmaScan(**{k: by_q[q][k] for k in fields}) for q in sorted(by_q)]
 

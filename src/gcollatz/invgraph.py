@@ -1,8 +1,9 @@
 """Backward mapping and bounded inverse-orbit graph construction.
 
-The preimage set of n is {d*n} plus, for each residue class r in [1, d),
-the candidate m = (d*n - beta*R)/alpha with R the kappa0-adjusted residue,
-kept when the division is exact, m >= 1, and m is actually in class r.
+The preimage set of n is {d*n} plus the m = d*a + r, 1 <= r < d, a >= 0,
+with T(m) = alpha*a + S*r (+ beta for kappa0 = -1) = n, where
+S = (alpha + kappa0*beta)/d.  That is one linear congruence
+S*r = rhs (mod alpha), solved per call with an inverse cached per triplet.
 Graph edges point forward: (m, n) means T(m) = n.
 """
 
@@ -10,24 +11,42 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gcd
 
-from gcollatz.core import Triplet, step, validate_triplet
+from gcollatz.core import Triplet, validate_triplet
+
+
+@lru_cache(maxsize=256)
+def _congruence(d: int, alpha: int, beta: int, kappa0: int) -> tuple[int, int, int, int, int]:
+    """(S, g, mod, inverse, shift) for solving S*r = n - shift (mod alpha).
+
+    g = gcd(S, alpha); the solutions r form one progression with difference
+    mod = alpha/g, and inverse is (S/g)^-1 modulo mod.  S = 0 (kappa0 = -1,
+    alpha = beta) gives mod 1: every residue class is a candidate.  Keyed
+    on the parameters, which hash faster than the Triplet.
+    """
+    S = (alpha + kappa0 * beta) // d
+    g = gcd(S, alpha)
+    mod = alpha // g
+    return S, g, mod, pow(S // g, -1, mod), 0 if kappa0 == 1 else beta
 
 
 def preimages(t: Triplet, n: int) -> set[int]:
     """All m >= 1 with T(m) = n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
+    d, alpha = t.d, t.alpha
+    S, g, mod, inv, shift = _congruence(d, alpha, t.beta, t.kappa0)
     out = {d * n}
-    dn = d * n
-    for r in range(1, d):
-        R = r if kappa == 1 else d - r
-        m = dn - beta * R
-        if m % alpha == 0:
-            m //= alpha
-            if m > 0 and m % d == r:
-                out.add(m)
+    rhs = n - shift
+    if rhs % g == 0:
+        # alpha > d, so at most g residues r < d lie on the progression
+        for r in range(rhs // g * inv % mod or mod, d, mod):
+            a = rhs - S * r
+            if a < 0:
+                break
+            out.add(d * (a // alpha) + r)
     return out
 
 

@@ -168,6 +168,27 @@ def test_verify_refuses_headerless_checkpoint(tmp_path, capsys, first):
     assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: checkpoint {ck}")
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"block_start": 1, "type": "block"}',
+        '{"block_start": 1, "type": "block", "verified": null, "failures": [], "max_sigma": null}',
+    ],
+    ids=["missing", "null"],
+)
+def test_verify_refuses_malformed_checkpoint_record(tmp_path, capsys, bad):
+    ck = tmp_path / "scan.ndjson"
+    argv = ["verify", "--p", "3", "--q", "1", "--to", "3e3", "--block-size", "1000", "--checkpoint", str(ck)]
+    assert main(argv) == 0
+    header = ck.read_text().splitlines()[0]
+    ck.write_text(header + "\n" + bad + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: checkpoint {ck} has a malformed record")
+    assert "Traceback" not in err
+
+
 NOT_TOTAL = ("--d", "3", "--alpha", "4", "--beta", "-5", "--kappa", "-1")
 
 

@@ -1,11 +1,13 @@
 """Forward-orbit engines: trajectories, cycles, stopping times, range scans."""
 
+import functools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcollatz import dynamics
 from gcollatz.core import step, validate_triplet
 from gcollatz.dynamics import (
     descent_time,
@@ -189,6 +191,87 @@ def test_attractor_sigma_matches_naive():
     assert s == naive_max
 
 
+T_TRAPPED = validate_triplet(12, 14, 10)  # orbits also close a cycle through 1305, not {4, 5}
+
+
+def _trapped_scan(**kw):
+    return verify_range(
+        T_TRAPPED, 1, 20000, mode="attractor", minima={4, 5}, budget=10**4, block_size=4096, **kw
+    )
+
+
+class _CountingInt(int):
+    """A block start that counts the memo bound checks: one per inlined step."""
+
+    checks = 0
+
+    def __le__(self, other):
+        _CountingInt.checks += 1
+        return int(self) <= other
+
+
+def _steps_to_fail(t, n, minima, budget):
+    _CountingInt.checks = 0
+    rec = dynamics._certify_block((t, _CountingInt(n), n, "attractor", frozenset(minima), budget))
+    assert rec["failures"] == [n]
+    return _CountingInt.checks
+
+
+def test_trapped_seed_exits_at_cycle_closure():
+    # 1305 lies on a 17-cycle with no minimum, and 955 enters it only after
+    # some steps: each must fail soon after the first tortoise goes down,
+    # not spend the budget
+    for n in (1305, 955):
+        steps = _steps_to_fail(T_TRAPPED, n, {4, 5}, 10**6)
+        assert dynamics._TORTOISE_AT < steps < 2 * dynamics._TORTOISE_AT
+
+
+@functools.cache
+def _trapped_naive() -> dict:
+    return {n: total_stopping_time(T_TRAPPED, n, {4, 5}, 10**4) for n in range(1, 20001)}
+
+
+@pytest.mark.parametrize("tortoise_at", [1, 3, 256])
+def test_attractor_trapped_seeds_match_naive(monkeypatch, tortoise_at):
+    # trapped seeds fail when their orbit closes the cycle, not after the
+    # whole budget; failures and record must be those of a naive run.  With
+    # the first tortoise down at step 1 or 3, orbits cross many tortoise
+    # moves, with and without block-memo hits, and no success may turn into
+    # a failure or change its stopping time
+    monkeypatch.setattr(dynamics, "_TORTOISE_AT", tortoise_at)
+    rep = _trapped_scan()
+    naive = _trapped_naive()
+    assert 1305 in rep.failures
+    assert list(rep.failures) == [n for n, s in naive.items() if s is None]
+    assert rep.verified == 20000 - len(rep.failures)
+    top = max(s for s in naive.values() if s is not None)
+    assert rep.max_sigma == (min(n for n, s in naive.items() if s == top), top)
+    kw = dict(mode="attractor", minima={1}, block_size=1, budget=10**4)
+    for n in range(2, 401):
+        assert verify_range(T_CLASSIC, n, n, **kw).max_sigma == (n, total_stopping_time(T_CLASSIC, n, {1}))
+
+
+def test_attractor_late_success_across_tortoise():
+    # (2,3,1)+ takes 278 steps from 230631 to 1, past the first tortoise at
+    # step 256; block_size=1 leaves no memo, so the loop walks all of them
+    n, s = 230631, 278
+    assert total_stopping_time(T_CLASSIC, n, {1}) == s
+    kw = dict(mode="attractor", minima={1}, block_size=1)
+    rep = verify_range(T_CLASSIC, n, n, budget=s, **kw)
+    assert rep.passed and rep.max_sigma == (n, s)
+    for budget in (s - 1, 257, 256, 100):
+        rep = verify_range(T_CLASSIC, n, n, budget=budget, **kw)
+        assert rep.failures == (n,) and rep.max_sigma is None
+
+
+def test_attractor_trapped_scan_worker_and_journal_identity(tmp_path):
+    one, two = tmp_path / "one.ndjson", tmp_path / "two.ndjson"
+    a = _trapped_scan(workers=1, checkpoint=str(one))
+    b = _trapped_scan(workers=2, checkpoint=str(two))
+    assert a.json(include_timing=False) == b.json(include_timing=False)
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_verify_range_worker_determinism():
     kw = dict(mode="descent", minima={4}, block_size=1024)
     a = verify_range(T_MOD10, 1, 20000, workers=1, **kw)
@@ -299,6 +382,43 @@ def test_max_stopping_scan_refuses_headerless_checkpoint(tmp_path, first):
         with pytest.raises(ValueError, match="scan header"):
             max_stopping_scan(2, n_max, checkpoint=str(ck))
     assert ck.read_text() == first + "\n" + TABLE_JOURNAL_RECORDS[0] + "\n"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"block_start": 1, "type": "block"}',
+        '{"block_start": 1, "type": "block", "verified": null, "failures": [], "max_sigma": null}',
+        '{"block_start": 1, "type": "block", "verified": 999, "failures": "12", "max_sigma": null}',
+        '{"block_start": 1, "type": "block", "verified": 999, "failures": [], "max_sigma": [7]}',
+    ],
+    ids=["missing", "null", "string", "short"],
+)
+def test_verify_range_refuses_malformed_record(tmp_path, bad):
+    ck = tmp_path / "scan.ndjson"
+    kw = dict(mode="descent", minima={4}, block_size=1000, checkpoint=str(ck))
+    verify_range(T_MOD10, 1, 3000, **kw)
+    header = ck.read_text().splitlines()[0]
+    ck.write_text(header + "\n" + bad + "\n")
+    with pytest.raises(ValueError, match=r"checkpoint .* malformed record for block_start 1$"):
+        verify_range(T_MOD10, 1, 3000, **kw)
+    assert ck.read_text() == header + "\n" + bad + "\n"  # refused before any block ran
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda r: r.pop("argmax_n_trivial"), lambda r: r.update(max_sigma=None), lambda r: r.update(unknown="0")],
+    ids=["missing", "null", "string"],
+)
+def test_max_stopping_scan_refuses_malformed_record(tmp_path, edit):
+    ck = tmp_path / "table.ndjson"
+    max_stopping_scan(2, 2000, checkpoint=str(ck))
+    header = ck.read_text().splitlines()[0]
+    rec = json.loads(TABLE_JOURNAL_RECORDS[1])
+    edit(rec)
+    ck.write_text("\n".join([header, TABLE_JOURNAL_RECORDS[0], json.dumps(rec)]) + "\n")
+    with pytest.raises(ValueError, match=r"checkpoint .* malformed record for q 1$"):
+        max_stopping_scan(2, 2000, checkpoint=str(ck))
 
 
 def test_max_stopping_scan_checkpoint_resume(tmp_path):

@@ -1,10 +1,12 @@
 """Backward mapping and inverse-orbit graph construction."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcollatz.core import step, validate_triplet
+from gcollatz.core import DomainError, step, validate_triplet
 from gcollatz.invgraph import build_inverse_graph, export_dot, export_json, parse_json, preimages
 
 T_CLASSIC = validate_triplet(2, 3, 1)
@@ -35,6 +37,42 @@ def test_preimages_kappa_minus():
         got = preimages(t, n)
         brute = {m for m in range(1, 4 * n + 8) if step(t, m) == n}
         assert got == brute
+
+
+def _preimages_by_residue_loop(t, n):
+    # the O(d) loop preimages used before the congruence solve: one
+    # candidate per residue class r, kept when it lands in class r
+    d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
+    out = {d * n}
+    for r in range(1, d):
+        m = d * n - beta * (r if kappa == 1 else d - r)
+        if m % alpha == 0 and m // alpha > 0 and (m // alpha) % d == r:
+            out.add(m // alpha)
+    return out
+
+
+def _small_triplets():
+    for d in range(2, 9):
+        for alpha in range(d + 1, 4 * d):
+            for beta in range(-3 * d + 1, 3 * d):
+                for kappa in (1, -1):
+                    try:
+                        yield validate_triplet(d, alpha, beta, kappa)
+                    except DomainError:
+                        pass
+
+
+def test_preimages_match_residue_loop():
+    triplets = list(_small_triplets())
+    S = {t: (t.alpha + t.kappa0 * t.beta) // t.d for t in triplets}
+    assert any(t.kappa0 == -1 for t in triplets)
+    assert any(gcd(S[t], t.alpha) > 1 for t in triplets)
+    assert any(S[t] == 0 for t in triplets)
+    for t in triplets:
+        for n in range(1, 400):
+            got = preimages(t, n)
+            assert got == _preimages_by_residue_loop(t, n), (t.label, n)
+            assert all(step(t, m) == n for m in got), (t.label, n)
 
 
 @given(st.integers(1, 5000), st.integers(1, 5000))
