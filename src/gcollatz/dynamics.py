@@ -25,9 +25,8 @@ from gcollatz.family import Cycle, attractor_minima, canonical_cycle, exceptiona
 DEFAULT_BUDGET = 10**6
 DEFAULT_BLOCK = 2**16
 
-# array('I') sentinels for unresolved stopping times
-_UNKNOWN = 2**32 - 1   # budget exhausted
-_INF = 2**32 - 2       # provably never reaches the target set (trapped in another cycle)
+# array('I') sentinel: no stopping time (budget spent or an unregistered cycle)
+_FAILED = 2**32 - 1
 
 # Attractor-mode step (at least 1) at which Brent's cycle test puts down its
 # first tortoise; later ones go down at twice the step count of the one before.
@@ -40,6 +39,11 @@ _TORTOISE_AT = 256
 # ---------------------------------------------------------------------------
 # trajectories and per-seed stopping quantities
 # ---------------------------------------------------------------------------
+
+def _need_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -56,12 +60,10 @@ def trajectory(t: Triplet, n: int, stop=None, budget: int = DEFAULT_BUDGET) -> T
     first value below n), an int (pure step budget), or None (budget only).
     Budget exhaustion is a terminal state, not an error.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _need_at_least("n", n, 1)
     if isinstance(stop, int):
         budget, stop = stop, None
-    if budget < 1:
-        raise ValueError(f"need budget >= 1, got {budget}")
+    _need_at_least("budget", budget, 1)
     check_total(t)
     descent = stop == "descent"
     minima = None if (stop is None or descent) else frozenset(stop)
@@ -141,6 +143,7 @@ class CycleScan:
 def find_cycles_in_range(t: Triplet, n_max: int, budget: int = DEFAULT_BUDGET) -> CycleScan:
     """Distinct cycles found by running detect_cycle from every n <= n_max,
     deduplicated by minimum element; budget-exhausted seeds listed separately."""
+    _need_at_least("budget", budget, 1)
     check_total(t)
     found: dict[int, Cycle] = {}
     exhausted = []
@@ -398,6 +401,8 @@ def verify_range(
         raise ValueError(f"mode must be 'descent' or 'attractor', got {mode!r}")
     if n_start > n_end or n_start < 1:
         raise ValueError(f"bad range [{n_start}, {n_end}]")
+    _need_at_least("budget", budget, 1)
+    _need_at_least("block_size", block_size, 1)
     minima = tuple(sorted(set(minima or ())))
     if mode == "attractor" and not minima:
         raise ValueError("attractor mode requires a nonempty minima set")
@@ -467,80 +472,67 @@ class MapSigmaScan:
 
 
 def _sigma_map_scan(args) -> dict:
-    """Scan one (p, q) column; returns its journal record (MapSigmaScan fields)."""
+    """Scan one (p, q) column; returns its journal record (MapSigmaScan fields).
+
+    sigma[n] is n's stopping time to the full minima; trapped[n] is set when
+    n's orbit meets an exceptional cycle, which it never leaves, or returns to
+    n.  The trivial minimum is one of the full minima, so n's trivial-only
+    stopping time is sigma[n] while trapped[n] is clear, and there is none once
+    it is set.
+    """
     p, q, n_max, budget = args
     t = make_pq(p, q)
     d, alpha, beta = t.d, t.alpha, t.beta
     full = frozenset(attractor_minima(p, q))
     triv = 2 ** (p - q)
-    exc_members = frozenset(
-        m for c in exceptional_registry().get((p, q), ()) for m in c.members
-    )
+    stops = full.union(m for c in exceptional_registry().get((p, q), ()) for m in c.members)
 
     size = n_max + 1
-    A = array("I", [_UNKNOWN]) * size  # sigma to the full minima
-    B = array("I", [_UNKNOWN]) * size  # sigma to the trivial minimum only
-    best_a = (-1, 0)
-    best_b = (-1, 0)
-    unknown = 0
-    trivial_unreachable = 0
+    sigma = array("I", [_FAILED]) * size
+    trapped = bytearray(size)
+    best = best_trivial = (-1, 0)
 
     for n in range(1, size):
-        a = 0 if n in full else None
-        b = 0 if n == triv else None
-        if a is None or b is None:
-            v = n
-            k = 0
+        s, x = _FAILED, 0
+        if n in full:
+            s, x = 0, n != triv
+        else:
+            v, k = n, 0
             while k < budget:
                 r = v % d
                 v = (alpha * v + beta * r) // d if r else v // d
                 k += 1
-                if a is None:
+                if v in stops:
                     if v in full:
-                        a = k
-                    elif v < n:
-                        prior = A[v]
-                        a = prior if prior >= _INF else k + prior
-                if b is None:
-                    if v == triv:
-                        b = k
-                    elif v in exc_members:
-                        b = _INF
-                    elif v < n:
-                        prior = B[v]
-                        b = prior if prior >= _INF else k + prior
-                if v == n:  # n is the minimum of an unregistered cycle
-                    if a is None:
-                        a = _INF
-                    if b is None:
-                        b = _INF
-                if a is not None and b is not None:
+                        s, x = k, x | (v != triv)
+                        break
+                    x = 1  # a member of an exceptional cycle, short of its minimum
+                if v <= n:
+                    if v < n:
+                        prior = sigma[v]
+                        s = prior if prior == _FAILED else k + prior
+                        x |= trapped[v]
+                    else:  # n is the minimum of an unregistered cycle
+                        x = 1
                     break
-            if a is None:
-                a = _UNKNOWN
-            if b is None:
-                b = _UNKNOWN
-        if a < _INF and a > best_a[0]:
-            best_a = (a, n)
-        if b < _INF and b > best_b[0]:
-            best_b = (b, n)
-        if a >= _INF:
-            unknown += 1
-        if b == _INF:
-            trivial_unreachable += 1
-        A[n] = a
-        B[n] = b
+        sigma[n] = s
+        trapped[n] = x
+        if s != _FAILED:
+            if s > best[0]:
+                best = (s, n)
+            if not x and s > best_trivial[0]:
+                best_trivial = (s, n)
 
     return {
         "type": "map",
         "p": p,
         "q": q,
-        "max_sigma": best_a[0],
-        "argmax_n": best_a[1],
-        "max_sigma_trivial": best_b[0],
-        "argmax_n_trivial": best_b[1],
-        "unknown": unknown,
-        "trivial_unreachable": trivial_unreachable,
+        "max_sigma": best[0],
+        "argmax_n": best[1],
+        "max_sigma_trivial": best_trivial[0],
+        "argmax_n_trivial": best_trivial[1],
+        "unknown": sigma.count(_FAILED) - 1,  # sigma[0] is unused
+        "trivial_unreachable": trapped.count(1),
     }
 
 
@@ -600,6 +592,9 @@ def max_stopping_scan(
     seeds); columns are independent, so workers parallelize across q.  With
     a checkpoint path, finished columns are journaled and reruns skip them.
     """
+    _need_at_least("p", p, 0)
+    _need_at_least("n_max", n_max, 1)
+    _need_at_least("budget", budget, 1)
     header = {
         "type": "scan_header",
         "schema": "gcollatz.checkpoint/1",

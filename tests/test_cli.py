@@ -206,6 +206,25 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "0"), "block_size >= 1, got 0"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "-1"), "block_size >= 1, got -1"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
+        (("table", "--p-max", "1", "--n-max", "20", "--budget", "0"), "budget >= 1, got 0"),
+        (("cycles", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
+    ],
+    ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "cycles-budget"],
+)
+def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines()[-1] == f"error: need {message}"
+    assert captured.out == ""
+
+
 def test_main_names_internal_errors(capsys, monkeypatch):
     from gcollatz import cli
     from gcollatz.core import InternalError

@@ -2,6 +2,7 @@
 
 import functools
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -432,6 +433,36 @@ def test_max_stopping_scan_checkpoint_resume(tmp_path):
         max_stopping_scan(2, 1000, checkpoint=str(ck))
 
 
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_verify_range_rejects_block_size_below_one(tmp_path, block_size):
+    # a block size below one never advances past the first block
+    ck = tmp_path / "scan.ndjson"
+    with pytest.raises(ValueError, match=rf"^need block_size >= 1, got {block_size}$"):
+        verify_range(T_MOD10, 1, 10, checkpoint=str(ck), block_size=block_size)
+    assert not ck.exists()  # refused before the journal opens
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_scans_reject_budget_below_one(tmp_path, budget):
+    ck = tmp_path / "scan.ndjson"
+    message = rf"^need budget >= 1, got {budget}$"
+    with pytest.raises(ValueError, match=message):
+        verify_range(T_MOD10, 1, 10, budget=budget, checkpoint=str(ck))
+    with pytest.raises(ValueError, match=message):
+        max_stopping_scan(1, 20, budget=budget, checkpoint=str(ck))
+    with pytest.raises(ValueError, match=message):
+        find_cycles_in_range(T_MOD10, 10, budget=budget)
+    assert not ck.exists()
+
+
+def test_max_stopping_scan_rejects_bad_column():
+    with pytest.raises(ValueError, match=r"^need p >= 0, got -1$"):
+        max_stopping_scan(-1, 20)
+    for n_max in (0, -5):
+        with pytest.raises(ValueError, match=rf"^need n_max >= 1, got {n_max}$"):
+            max_stopping_scan(1, n_max)
+
+
 def test_scan_report_json_shape():
     rep = verify_range(T_CLASSIC, 1, 500, mode="attractor", minima={1})
     doc = json.loads(rep.json())
@@ -483,3 +514,114 @@ def test_max_stopping_scan_worker_determinism():
     a = max_stopping_scan(2, 1500, workers=1)
     b = max_stopping_scan(2, 1500, workers=4)
     assert a == b
+
+
+def _sigma_map_scan_two_memos(args) -> dict:
+    # Reference for _sigma_map_scan: two stopping times per seed, to the full
+    # minima (A) and to the trivial minimum only (B), each resolved on its
+    # own, so it does not rely on the trivial-only time being the full time
+    # or none.
+    unknown_, inf_ = 2**32 - 1, 2**32 - 2  # budget exhausted / trapped in another cycle
+    p, q, n_max, budget = args
+    t = make_pq(p, q)
+    d, alpha, beta = t.d, t.alpha, t.beta
+    full = frozenset(dynamics.attractor_minima(p, q))
+    triv = 2 ** (p - q)
+    exc_members = frozenset(
+        m for c in dynamics.exceptional_registry().get((p, q), ()) for m in c.members
+    )
+    size = n_max + 1
+    A = array("I", [unknown_]) * size
+    B = array("I", [unknown_]) * size
+    best_a = (-1, 0)
+    best_b = (-1, 0)
+    unknown = 0
+    trivial_unreachable = 0
+    for n in range(1, size):
+        a = 0 if n in full else None
+        b = 0 if n == triv else None
+        if a is None or b is None:
+            v = n
+            k = 0
+            while k < budget:
+                r = v % d
+                v = (alpha * v + beta * r) // d if r else v // d
+                k += 1
+                if a is None:
+                    if v in full:
+                        a = k
+                    elif v < n:
+                        prior = A[v]
+                        a = prior if prior >= inf_ else k + prior
+                if b is None:
+                    if v == triv:
+                        b = k
+                    elif v in exc_members:
+                        b = inf_
+                    elif v < n:
+                        prior = B[v]
+                        b = prior if prior >= inf_ else k + prior
+                if v == n:  # n is the minimum of an unregistered cycle
+                    if a is None:
+                        a = inf_
+                    if b is None:
+                        b = inf_
+                if a is not None and b is not None:
+                    break
+            if a is None:
+                a = unknown_
+            if b is None:
+                b = unknown_
+        if a < inf_ and a > best_a[0]:
+            best_a = (a, n)
+        if b < inf_ and b > best_b[0]:
+            best_b = (b, n)
+        if a >= inf_:
+            unknown += 1
+        if b == inf_:
+            trivial_unreachable += 1
+        A[n] = a
+        B[n] = b
+    return {
+        "type": "map",
+        "p": p,
+        "q": q,
+        "max_sigma": best_a[0],
+        "argmax_n": best_a[1],
+        "max_sigma_trivial": best_b[0],
+        "argmax_n_trivial": best_b[1],
+        "unknown": unknown,
+        "trivial_unreachable": trivial_unreachable,
+    }
+
+
+def _assert_column_records_match(grid):
+    for args in grid:
+        got = json.dumps(dynamics._sigma_map_scan(args), sort_keys=True)
+        assert got == json.dumps(_sigma_map_scan_two_memos(args), sort_keys=True), args
+
+
+def test_sigma_map_scan_matches_two_memos():
+    # every column with p <= 5, from the smallest ranges up; the small
+    # budgets leave seeds unresolved, including seeds already flagged as
+    # never reaching the trivial minimum
+    _assert_column_records_match(
+        (p, q, n_max, budget)
+        for p in range(6)
+        for q in range(p + 1)
+        for n_max in (1, 2, 3, 50, 3000)
+        for budget in (1, 2, 3, 5, 8, 13, 40, 100, 10**6)
+    )
+
+
+def test_sigma_map_scan_matches_two_memos_unregistered_cycles(monkeypatch):
+    # with only the trivial cycle known, orbits that enter an exceptional
+    # cycle come back to its minimum (no stopping time, never trivial) and
+    # seeds below that minimum reuse it or spend the budget
+    monkeypatch.setattr(dynamics, "exceptional_registry", lambda: {})
+    monkeypatch.setattr(dynamics, "attractor_minima", lambda p, q: frozenset({2 ** (p - q)}))
+    _assert_column_records_match(
+        (p, q, 3000, budget)
+        for p, q in ((1, 0), (2, 1), (2, 2), (3, 0), (4, 0), (5, 2))
+        for budget in (1, 5, 9, 20, 50, 300, 10**4)
+    )
