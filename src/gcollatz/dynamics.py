@@ -6,6 +6,13 @@ so reports are identical regardless of worker count.  Hot loops inline the
 map instead of calling core.step; exactness of the inlined division is
 guaranteed for every validated triplet, and positivity is re-checked once
 per scan via core totality conditions.
+
+Descent mode takes the first k steps of most seeds from a table over
+r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
+paper's Theorem 3.1: T^j(a*d^k + r) = alpha^s_j(r) * a * d^(k-j) + T^j(r) for
+j <= k.  Seeds below the table's threshold on a, in a row of d^k that reaches
+down to max(minima), or scanned with budget <= k start at step 0 instead.
+Either way the report and journal bytes are the same.
 """
 
 from __future__ import annotations
@@ -14,9 +21,12 @@ import json
 import os
 import time
 from array import array
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 from typing import Iterable
 
 from gcollatz.core import Triplet, check_total, step
@@ -34,6 +44,9 @@ _FAILED = 2**32 - 1
 # costs the same before and after it; the value only trades the boundary work
 # of short orbits against how late a trapped seed is caught.
 _TORTOISE_AT = 256
+
+# Most residue classes mod d^k in a descent table (see _descent_table)
+_TABLE_CLASSES = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +156,7 @@ class CycleScan:
 def find_cycles_in_range(t: Triplet, n_max: int, budget: int = DEFAULT_BUDGET) -> CycleScan:
     """Distinct cycles found by running detect_cycle from every n <= n_max,
     deduplicated by minimum element; budget-exhausted seeds listed separately."""
+    _need_at_least("n_max", n_max, 1)
     _need_at_least("budget", budget, 1)
     check_total(t)
     found: dict[int, Cycle] = {}
@@ -197,6 +211,8 @@ class ScanReport:
             "cursor": self.cursor,
             "pass": self.passed,
         }
+        if self.mode == "descent" and self.n_start > 1:  # relies on every seed below n_start
+            d["assumes_verified_below"] = self.n_start
         if include_timing:
             d["wall_time"] = self.wall_time
         return d
@@ -205,79 +221,153 @@ class ScanReport:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
 
 
-def _certify_block(args) -> dict:
-    """Certify every seed of one block; runs in worker processes.
+@lru_cache(maxsize=4)
+def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
+    """Descent table over r mod d^depth, or None if a value needs over 64 bits.
 
-    Descent mode: a seed is verified once its orbit falls below the seed or
-    enters the minima; n = 1 and minima members are base cases.  Attractor
-    mode: the orbit must enter the minima; exact stopping counts are memoized
-    block-locally (seeds are processed ascending, so any orbit value inside
-    the block and below the current seed is already resolved).  From step
-    _TORTOISE_AT on, Brent's cycle test runs as in detect_cycle: an orbit
-    that meets its tortoise again is trapped in a cycle with no minimum, and
-    the seed fails without spending the rest of the budget.  Returns the
-    block's journal record.
+    n = a*d^depth + r descends at step j <= depth iff a*c_j > T^j(r) - r, with
+    c_j = d^(depth-j) * (d^j - alpha^s_j(r)), never 0 as d does not divide
+    alpha.  Returns jstar[r], the first j with c_j > 0 or 0; the classes with
+    jstar 0 ("survivors"), with alpha^s_depth(r) and T^depth(r); and amin, the
+    least a from which every class descends at its jstar and no earlier step.
     """
-    t, bstart, bend, mode, minima, budget = args
+    jstar = bytearray(d**depth)
+    survivors, mult, tail = array("H"), array("q"), array("q")
+    amin = 0
+    try:
+        for r in range(d**depth):
+            v, s = r, 0
+            for j in range(1, depth + 1):
+                m = v % d
+                if m:
+                    v, s = (alpha * v + beta * (m if kappa == 1 else d - m)) // d, s + 1
+                else:
+                    v //= d
+                c = d ** (depth - j) * (d**j - alpha**s)
+                if c > 0:  # descends here once a*c > v - r
+                    jstar[r] = j
+                    amin = max(amin, (v - r) // c + 1)
+                    break
+                amin = max(amin, -((r - v) // c))  # no descent yet while a*c <= v - r
+            else:
+                survivors.append(r)
+                mult.append(alpha**s)
+                tail.append(v)
+    except OverflowError:
+        return None
+    return jstar, survivors, mult, tail, amin
+
+
+def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget: int):
+    """Descent mode: a seed is verified once its orbit falls below the seed or
+    enters the minima; n = 1 and minima members are base cases.  In a row of
+    the table with a >= amin and seeds above max(minima), no orbit value at or
+    above n is a minimum: a settled class counts at its jstar, a survivor
+    starts depth steps in.  Other rows start every seed at (n, 0).
+    """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
-    minima = frozenset(minima)
-    verified = 0
-    failures = []
-    best = None  # (steps, n)
+    top = max(minima, default=1)
+    depth = 0
+    while d ** (depth + 1) <= min(_TABLE_CLASSES, bend - bstart + 1):
+        depth += 1
+    table = _descent_table(d, alpha, beta, kappa, depth) if 0 < depth < budget else None
+    size = d**depth if table else bend + 1  # without a table the block is one row
+    verified, failures, best = 0, [], (0, 0)  # best: (steps, n)
+    for a in range(bstart // size, bend // size + 1):
+        base = a * size
+        lo, hi = max(bstart, base), min(bend, base + size - 1)
+        low = lo <= top
+        if table and not low and a >= table[4]:
+            jstar, survivors, mult, tail, _ = table
+            settled = jstar[lo - base:hi - base + 1]
+            verified += len(settled) - settled.count(0)
+            j = max(settled)
+            if j > best[0]:  # every survivor that descends takes more steps
+                best = (j, lo + settled.index(j))
+            i, e = bisect_left(survivors, lo - base), bisect_right(survivors, hi - base)
+            starts = ((base + r, m * a + c) for r, m, c in islice(zip(survivors, mult, tail), i, e))
+            k0 = depth
+        else:
+            starts, k0 = zip(range(lo, hi + 1), range(lo, hi + 1)), 0
+        for n, v in starts:
+            k = k0
+            if low and (n == 1 or n in minima):
+                verified += 1
+                continue
+            while k < budget:
+                r = v % d
+                if r:
+                    v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
+                else:
+                    v //= d
+                k += 1
+                if v < n or low and v in minima:
+                    break
+            else:
+                failures.append(n)
+                continue
+            verified += 1
+            if k > best[0]:
+                best = (k, n)
+    return verified, failures, best
+
+
+def _attractor_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget: int):
+    """Attractor mode: the orbit must enter the minima.  Exact stopping counts
+    are memoized block-locally (seeds go ascending, so any orbit value inside
+    the block and below the current seed is resolved).  From step
+    _TORTOISE_AT on, Brent's cycle test runs as in detect_cycle: an orbit that
+    meets its tortoise again is trapped in a cycle with no minimum, and the
+    seed fails without spending the rest of the budget.
+    """
+    d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
+    verified, failures, best = 0, [], (0, 0)  # best: (steps, n)
     memo: dict[int, int] = {}
     lim0 = min(budget, _TORTOISE_AT)
     for n in range(bstart, bend + 1):
         k = 0
-        ok = True
-        if mode == "descent":
-            if n != 1 and n not in minima:
-                v = n
-                ok = False
-                while k < budget:
+        if n not in minima:
+            v = n
+            sigma = -1
+            stops, lim = minima, lim0
+            while True:
+                while k < lim:
                     r = v % d
                     if r:
                         v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
                     else:
                         v //= d
                     k += 1
-                    if v < n or v in minima:
-                        ok = True
+                    if v in stops:
+                        if v in minima:  # else v is the tortoise: a cycle closed
+                            sigma = k
                         break
-        else:  # attractor
-            if n not in minima:
-                v = n
-                sigma = -1
-                stops, lim = minima, lim0
-                while True:
-                    while k < lim:
-                        r = v % d
-                        if r:
-                            v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
-                        else:
-                            v //= d
-                        k += 1
-                        if v in stops:
-                            if v in minima:  # else v is the tortoise: a cycle closed
-                                sigma = k
-                            break
-                        if bstart <= v < n:
-                            prior = memo[v]
-                            sigma = -1 if prior < 0 else k + prior
-                            break
-                    else:
-                        if k < budget:  # move the tortoise to v and double the stretch
-                            stops, lim = minima | {v}, min(budget, 2 * k)
-                            continue
-                    break
-                memo[n] = sigma
-                ok = sigma >= 0
-                k = sigma
-        if ok:
+                    if bstart <= v < n:
+                        prior = memo[v]
+                        sigma = -1 if prior < 0 else k + prior
+                        break
+                else:
+                    if k < budget:  # move the tortoise to v and double the stretch
+                        stops, lim = minima | {v}, min(budget, 2 * k)
+                        continue
+                break
+            memo[n] = sigma
+            k = sigma
+        if k >= 0:
             verified += 1
-            if k > 0 and (best is None or k > best[0]):
+            if k > best[0]:
                 best = (k, n)
         else:
             failures.append(n)
+    return verified, failures, best
+
+
+def _certify_block(args) -> dict:
+    """Certify every seed of one block and return its journal record; runs in
+    worker processes (see _descent_seeds and _attractor_seeds for the modes)."""
+    t, bstart, bend, mode, minima, budget = args
+    seeds = _descent_seeds if mode == "descent" else _attractor_seeds
+    verified, failures, best = seeds(t, bstart, bend, frozenset(minima), budget)
     return {
         "type": "block",
         "block_start": bstart,
@@ -285,8 +375,8 @@ def _certify_block(args) -> dict:
         "status": "pass" if not failures else "fail",
         "verified": verified,
         "failures": failures,
-        "max_sigma": list(best) if best else None,
-        "argmax_n": best[1] if best else None,
+        "max_sigma": list(best) if best[0] else None,
+        "argmax_n": best[1] if best[0] else None,
     }
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from gcollatz.core import (
     Decomposition, Triplet, check_total, decompose, iterate, s_count, s_indicator, step,
 )
-from gcollatz.dynamics import DEFAULT_BUDGET, total_stopping_time
+from gcollatz.dynamics import DEFAULT_BUDGET, _need_at_least, total_stopping_time
 
 # sampling bounds: keep alpha**k cheap while forcing carries past machine words
 MAX_A = 10**6
@@ -170,6 +170,7 @@ def check_identity(theorem: str, t: Triplet, trials: int = 10**4, seed: int = 0)
     theorem is "31", "32" or "33".  Deterministic for a fixed seed; family
     preconditions are raised, never sampled around.
     """
+    _need_at_least("trials", trials, 1)
     check_total(t)
     rng = random.Random(seed)
     mismatches: list[dict] = []

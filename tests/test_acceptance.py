@@ -29,6 +29,8 @@ from gcollatz.family import (
 from gcollatz.identities import check_identity
 from gcollatz.invgraph import preimages
 
+pytestmark = pytest.mark.slow  # deselect with -m "not slow" for a fast loop
+
 T_MOD10 = validate_triplet(10, 12, 8)
 T_MOD5 = validate_triplet(5, 6, 4)
 T_CLASSIC = validate_triplet(2, 3, 1)

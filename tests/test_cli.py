@@ -127,6 +127,24 @@ def test_verify_descent(capsys):
     schema_validator("scan_report.schema.json").validate(doc)
 
 
+def test_descent_report_from_above_one_names_its_assumption(capsys):
+    validator = schema_validator("scan_report.schema.json")
+    base = ("verify", "--p", "3", "--q", "1", "--to", "3000")
+    docs = {}
+    for extra in ((), ("--from", "1"), ("--from", "2"), ("--from", "1500"), ("--from", "1500", "--mode", "attractor")):
+        code, out = run(capsys, *base, *extra)
+        assert code == 0
+        docs[extra] = json.loads(out)
+        validator.validate(docs[extra])
+    assert docs[("--from", "2")]["assumes_verified_below"] == 2
+    assert docs[("--from", "1500")]["assumes_verified_below"] == 1500
+    for extra in ((), ("--from", "1"), ("--from", "1500", "--mode", "attractor")):
+        assert "assumes_verified_below" not in docs[extra]
+    assert docs[()] == docs[("--from", "1")]
+    with pytest.raises(jsonschema.ValidationError):
+        validator.validate(dict(docs[()], assumes_verified_below=1))
+
+
 def test_verify_attractor_52(capsys):
     code, out = run(
         capsys, "verify", "--p", "5", "--q", "2", "--to", "2e3", "--mode", "attractor"
@@ -214,8 +232,12 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
         (("verify", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
         (("table", "--p-max", "1", "--n-max", "20", "--budget", "0"), "budget >= 1, got 0"),
         (("cycles", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
+        (("cycles", "--p", "3", "--q", "1", "--to", "-5"), "n_max >= 1, got -5"),
+        (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "0"), "trials >= 1, got 0"),
+        (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "-1"), "trials >= 1, got -1"),
     ],
-    ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "cycles-budget"],
+    ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "cycles-budget",
+         "cycles-to-neg", "identities-trials-0", "identities-trials-neg"],
 )
 def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
     code = main(list(argv))

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcollatz import dynamics
-from gcollatz.core import step, validate_triplet
+from gcollatz.core import iterate, step, validate_triplet
 from gcollatz.dynamics import (
+    DEFAULT_BLOCK,
     descent_time,
     detect_cycle,
     find_cycles_in_range,
@@ -455,6 +456,12 @@ def test_scans_reject_budget_below_one(tmp_path, budget):
     assert not ck.exists()
 
 
+def test_find_cycles_rejects_empty_range():
+    for n_max in (0, -5):
+        with pytest.raises(ValueError, match=rf"^need n_max >= 1, got {n_max}$"):
+            find_cycles_in_range(T_MOD10, n_max)
+
+
 def test_max_stopping_scan_rejects_bad_column():
     with pytest.raises(ValueError, match=r"^need p >= 0, got -1$"):
         max_stopping_scan(-1, 20)
@@ -625,3 +632,198 @@ def test_sigma_map_scan_matches_two_memos_unregistered_cycles(monkeypatch):
         for p, q in ((1, 0), (2, 1), (2, 2), (3, 0), (4, 0), (5, 2))
         for budget in (1, 5, 9, 20, 50, 300, 10**4)
     )
+
+
+# ---------------------------------------------------------------------------
+# descent mode through the residue table
+# ---------------------------------------------------------------------------
+
+def _certify_block_plain(args) -> dict:
+    # Reference for descent-mode _certify_block: the loop before the residue
+    # table, which starts every seed at step 0 and probes the minima on every
+    # step.
+    t, bstart, bend, mode, minima, budget = args
+    d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
+    minima = frozenset(minima)
+    verified = 0
+    failures = []
+    best = None  # (steps, n)
+    for n in range(bstart, bend + 1):
+        k = 0
+        ok = True
+        if n != 1 and n not in minima:
+            v = n
+            ok = False
+            while k < budget:
+                r = v % d
+                if r:
+                    v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
+                else:
+                    v //= d
+                k += 1
+                if v < n or v in minima:
+                    ok = True
+                    break
+        if ok:
+            verified += 1
+            if k > 0 and (best is None or k > best[0]):
+                best = (k, n)
+        else:
+            failures.append(n)
+    return {
+        "type": "block",
+        "block_start": bstart,
+        "block_end": bend,
+        "status": "pass" if not failures else "fail",
+        "verified": verified,
+        "failures": failures,
+        "max_sigma": list(best) if best else None,
+        "argmax_n": best[1] if best else None,
+    }
+
+
+# all 45 maps with p, q <= 8 at their attractor minima, and four triplets
+# with no minima (n = 1 is then the only base case)
+SIEVE_MAPS = [
+    (make_pq(p, q), tuple(sorted(attractor_minima(p, q)))) for p in range(9) for q in range(p + 1)
+] + [(validate_triplet(*abk), ()) for abk in ((2, 3, 1), (5, 6, 4), (3, 4, 1, -1), (10, 12, 8))]
+SIEVE_IDS = [f"{t.label}{'-no-minima' if not m else ''}" for t, m in SIEVE_MAPS]
+
+
+def _depth(d: int, length: int) -> int:
+    """Largest k with d^k <= min(2^14, length): the table depth of a block."""
+    k = 0
+    while d ** (k + 1) <= min(2**14, length):
+        k += 1
+    return k
+
+
+def _assert_descent_matches(t, minima, n_start, n_end, block_size, budget):
+    for b0, b1 in dynamics._blocks(n_start, n_end, block_size):
+        args = (t, b0, b1, "descent", minima, budget)
+        got = json.dumps(dynamics._certify_block(args), sort_keys=True)
+        assert got == json.dumps(_certify_block_plain(args), sort_keys=True), (t.label, args[1:])
+
+
+@pytest.mark.parametrize("t, minima", SIEVE_MAPS, ids=SIEVE_IDS)
+def test_descent_table_matches_plain_loop(t, minima):
+    # from 1 in one block and in blocks not aligned to d^k; from inside the
+    # first row of d^k (a = 0, below the table's threshold); far out, where
+    # blocks cut rows at both ends.  Without minima, a cycle minimum such as
+    # 4 never descends and spends the budget.
+    budget = 10**6 if minima else 10**4
+    _assert_descent_matches(t, minima, 1, 20000, DEFAULT_BLOCK, budget)
+    for block_size in (3001, 777):
+        _assert_descent_matches(t, minima, 1, 6000, block_size, budget)
+    size = t.d ** _depth(t.d, 6000)
+    _assert_descent_matches(t, minima, size // 3 + 1, size // 3 + 6000, DEFAULT_BLOCK, budget)
+    _assert_descent_matches(t, minima, 10**12 + 17, 10**12 + 5016, 5000, budget)
+
+
+@pytest.mark.parametrize("t, minima", SIEVE_MAPS, ids=SIEVE_IDS)
+def test_descent_table_budgets(t, minima):
+    # budgets on both sides of the depth k of the block: at k and below the
+    # table is not used, at k + 1 a survivor has one step left
+    for n_start in (1, 10**9 + 5):
+        k = _depth(t.d, 5000)
+        for budget in sorted({1, k - 1, k, k + 1, 50, 10**6} - {-1, 0}):
+            _assert_descent_matches(t, minima, n_start, n_start + 4999, 5000, budget)
+
+
+def test_descent_table_around_a_large_minimum():
+    # (7,0) has the exceptional minimum 3027584, and 3004224 and 3004288 map
+    # onto it in one step, before they fall below themselves: every row of
+    # the table that reaches down to the minimum must start at step 0
+    t, minima = make_pq(7, 0), tuple(sorted(attractor_minima(7, 0)))
+    top = max(minima)
+    assert top == 3027584 and step(t, 3004224) == step(t, 3004288) == top
+    for block_size in (4000, 129 * 7, 10**4):
+        for budget in (2, 50, 10**6):
+            _assert_descent_matches(t, minima, top - 3000, top + 3000, block_size, budget)
+            _assert_descent_matches(t, minima, 3004224 - 2000, 3004288 + 2000, block_size, budget)
+
+
+def test_descent_kernel_reads_the_table_from_its_first_row(monkeypatch):
+    # A stand-in table settles every class at step 200, more than any seed of
+    # (10,12,8)+ below 1e5 takes, from a = 3 on.  The block's maximum then
+    # names the first row of 10^4 seeds that the kernel took from the table.
+    fake = (bytearray([200]) * 10**4, array("H"), array("q"), array("q"), 3)
+    monkeypatch.setattr(dynamics, "_descent_table", lambda *args: fake)
+
+    def first_table_seed(minima, budget):
+        return dynamics._certify_block((T_MOD10, 1, 10**5, "descent", minima, budget))["max_sigma"]
+
+    assert first_table_seed((4,), 10**6) == [200, 30000]
+    assert first_table_seed((4,), 5) == [200, 30000]
+    assert first_table_seed((4,), 4)[0] <= 4  # budget <= depth: no table
+    assert first_table_seed((35000,), 10**6) == [200, 40000]  # row 3 reaches down to a minimum
+    assert first_table_seed((40000,), 10**6) == [200, 50000]
+
+
+@given(
+    st.sampled_from(range(len(SIEVE_MAPS))),
+    st.one_of(st.integers(1, 10**6), st.integers(1, 10**15)),
+    st.integers(1, 30000),
+    st.integers(1, 20000),
+    st.one_of(st.integers(1, 60), st.just(10**6)),
+)
+@settings(max_examples=60, deadline=None)
+def test_descent_table_matches_plain_loop_random(which, n_start, length, block_size, budget):
+    t, minima = SIEVE_MAPS[which]
+    _assert_descent_matches(t, minima, n_start, n_start + length - 1, block_size, budget)
+
+
+# a large beta keeps small seeds from descending at their class's step, so
+# the threshold on a is 24 and 3 (it is 1 on every map above)
+LARGE_THRESHOLD = [(validate_triplet(2, 3, 1001), 10), (validate_triplet(4, 5, 1003), 5)]
+
+
+@pytest.mark.parametrize("t, depth", LARGE_THRESHOLD, ids=lambda x: getattr(x, "label", str(x)))
+def test_descent_table_below_a_large_threshold(t, depth):
+    # rows below, at and past the threshold, blocks cut at and off row ends;
+    # the budget stops the seeds that are minima of cycles
+    size = t.d**depth
+    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[4]
+    assert amin in (24, 3)
+    for block_size in (size, size + 1, 3 * size - 5):
+        for budget in (depth, depth + 1, 50, 10**4):
+            _assert_descent_matches(t, (), 1, (amin + 2) * size, block_size, budget)
+            _assert_descent_matches(t, (), (amin - 1) * size - 3, (amin + 3) * size, block_size, budget)
+
+
+def _takes_table_path(t, depth, a, r, jstar) -> bool:
+    """Whether n = a*d^depth + r, iterated with core.step, descends first at
+    step jstar (0: not within depth steps)."""
+    n = a * t.d**depth + r
+    v = n
+    for j in range(1, depth + 1):
+        v = step(t, v)
+        if v < n:
+            return j == jstar
+    return jstar == 0
+
+
+@pytest.mark.parametrize(
+    "t, depth",
+    [(make_pq(0, 0), 14), (make_pq(0, 0), 5), (make_pq(1, 0), 8), (make_pq(2, 0), 6),
+     (T_MOD10, 4), (T_MOD10, 2), (make_pq(4, 4), 2), (make_pq(8, 3), 1),
+     (validate_triplet(3, 4, 1, -1), 8), (validate_triplet(3, 5, 2, -1), 6), *LARGE_THRESHOLD,
+     # here a class falling below its seed too early sets the threshold (3; 1)
+     (validate_triplet(6, 37, -25), 2), (validate_triplet(3, 10, -7), 4)],
+    ids=lambda x: getattr(x, "label", str(x)),
+)
+def test_descent_table_classes(t, depth):
+    # each class against direct iteration, and the threshold is the least a
+    # (at least 1; class 0 at a = 0 is n = 0) from which every class is right
+    jstar, survivors, mult, tail, amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
+    size = t.d**depth
+    assert list(survivors) == [r for r in range(size) if jstar[r] == 0]
+    for a in (amin, amin + 1, 10**9 + 7):
+        for r in range(size):
+            assert _takes_table_path(t, depth, a, r, jstar[r]), (a, r)
+    for i, r in enumerate(survivors):
+        assert iterate(t, 10**9 * size + r, depth) == mult[i] * 10**9 + tail[i]
+    least = 0
+    while not all(_takes_table_path(t, depth, least, r, jstar[r]) for r in range(1, size)):
+        least += 1
+    assert amin == max(1, least)

@@ -136,3 +136,9 @@ def test_check_identity_reproducible():
 def test_check_identity_unknown_theorem():
     with pytest.raises(ValueError):
         check_identity("34", T_CLASSIC, trials=1)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_check_identity_refuses_empty_sample(trials):
+    with pytest.raises(ValueError, match=f"need trials >= 1, got {trials}"):
+        check_identity("31", T_CLASSIC, trials=trials)
