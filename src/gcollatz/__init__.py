@@ -7,6 +7,7 @@ from gcollatz.core import (
     Triplet,
     decompose,
     iterate,
+    report_json,
     residue,
     s_count,
     s_indicator,

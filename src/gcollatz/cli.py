@@ -9,13 +9,12 @@ scientific notation parsed to exact integers (1e7 -> 10000000).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
 
 from gcollatz import __version__
-from gcollatz.core import DomainError, InternalError, Triplet, validate_triplet
+from gcollatz.core import DomainError, InternalError, Triplet, report_json, validate_triplet
 from gcollatz.dynamics import (
     DEFAULT_BLOCK,
     DEFAULT_BUDGET,
@@ -115,7 +114,15 @@ def _emit(text: str, out: str | None) -> None:
 
 def _dump(doc: dict, out: str | None) -> None:
     doc["artifact_version"] = __version__
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    _emit(report_json(doc), out)
+
+
+def _csv(rows: list[dict], out: str | None) -> None:
+    """A header line of the first row's keys, then one line per row; None is an empty cell."""
+    cols = list(rows[0])
+    lines = [",".join(cols)]
+    lines += [",".join("" if r[c] is None else str(r[c]) for c in cols) for r in rows]
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _header(line: str) -> None:
@@ -218,21 +225,13 @@ def cmd_verify(args) -> int:
         block_size=args.block_size,
     )
     if args.format == "csv":
-        cols = [
-            "label", "n_start", "n_end", "mode", "verified", "failures",
-            "max_sigma_n", "max_sigma_steps", "pass",
-        ]
-        row = [
-            rep.triplet.label, rep.n_start, rep.n_end, rep.mode, rep.verified,
-            ";".join(map(str, rep.failures)),
-            rep.max_sigma[0] if rep.max_sigma else "",
-            rep.max_sigma[1] if rep.max_sigma else "",
-            rep.passed,
-        ]
-        _emit(",".join(cols) + "\n" + ",".join(map(str, row)) + "\n", args.out)
+        n, steps = rep.max_sigma or (None, None)
+        _csv([{"label": rep.triplet.label, "n_start": rep.n_start, "n_end": rep.n_end,
+               "mode": rep.mode, "verified": rep.verified,
+               "failures": ";".join(map(str, rep.failures)),
+               "max_sigma_n": n, "max_sigma_steps": steps, "pass": rep.passed}], args.out)
     else:
-        doc = rep.to_dict(include_timing=args.timing)
-        _dump(doc, args.out)
+        _dump(rep.to_dict(include_timing=args.timing), args.out)
     return 0 if rep.passed else 1
 
 
@@ -246,29 +245,17 @@ def cmd_table(args) -> int:
     for p in range(args.p_max + 1):
         scan = max_stopping_scan(p, args.n_max, budget=args.budget, workers=args.workers)
         ref = REFERENCE_MAX_SIGMA.get(p)
-        rows.append(
-            {
-                "p": p,
-                "max_sigma": scan.max_sigma,
-                "q_at_max": scan.q_at_max,
-                "n_at_max": scan.n_at_max,
-                "max_sigma_trivial": scan.max_sigma_trivial,
-                "q_at_max_trivial": scan.q_at_max_trivial,
-                "n_at_max_trivial": scan.n_at_max_trivial,
-                "unknown": scan.unknown,
-                "reference": ref,
-                "matches_reference": None if ref is None else scan.max_sigma == ref,
-            }
-        )
+        # the table document holds n_max and budget once; rows carry no per-map detail
+        row = {k: v for k, v in scan.to_dict().items()
+               if k not in ("schema", "n_max", "budget", "per_map")}
+        row["reference"] = ref
+        row["matches_reference"] = None if ref is None else scan.max_sigma == ref
+        rows.append(row)
     if args.format == "json":
         _dump({"schema": "gcollatz.table/1", "n_max": args.n_max,
                "budget": args.budget, "rows": rows}, args.out)
     else:
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join("" if r[c] is None else str(r[c]) for c in cols))
-        _emit("\n".join(lines) + "\n", args.out)
+        _csv(rows, args.out)
     return 0
 
 

@@ -11,6 +11,7 @@ Python-int arithmetic; orbit values may exceed machine words freely.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 
@@ -60,6 +61,11 @@ class Triplet:
             "beta": self.beta,
             "kappa0": self.kappa0,
         }
+
+
+def report_json(doc: dict) -> str:
+    """Report bytes: sorted keys, two-space indent, one final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def validate_triplet(d: int, alpha: int, beta: int, kappa0: int = 1) -> Triplet:

@@ -24,7 +24,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Iterable
@@ -80,6 +80,7 @@ def trajectory(t: Triplet, n: int, stop=None, budget: int = DEFAULT_BUDGET) -> T
     check_total(t)
     descent = stop == "descent"
     minima = None if (stop is None or descent) else frozenset(stop)
+    _need_at_least("minima", min(minima or {1}), 1)
 
     values = [n]
     if minima is not None and n in minima:
@@ -187,12 +188,11 @@ class ScanReport:
     verified: int
     failures: tuple[int, ...]
     max_sigma: tuple[int, int] | None  # (n, steps)
-    cursor: int
     wall_time: float = field(compare=False)
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.cursor > self.n_end
+        return not self.failures
 
     def to_dict(self, include_timing: bool = True) -> dict:
         d = {
@@ -208,7 +208,7 @@ class ScanReport:
             "failures": list(self.failures),
             "max_sigma": None if self.max_sigma is None
             else {"n": self.max_sigma[0], "steps": self.max_sigma[1]},
-            "cursor": self.cursor,
+            "cursor": self.n_end + 1,
             "pass": self.passed,
         }
         if self.mode == "descent" and self.n_start > 1:  # relies on every seed below n_start
@@ -216,9 +216,6 @@ class ScanReport:
         if include_timing:
             d["wall_time"] = self.wall_time
         return d
-
-    def json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
 
 
 @lru_cache(maxsize=4)
@@ -493,7 +490,9 @@ def verify_range(
         raise ValueError(f"bad range [{n_start}, {n_end}]")
     _need_at_least("budget", budget, 1)
     _need_at_least("block_size", block_size, 1)
+    _need_at_least("workers", workers, 1)
     minima = tuple(sorted(set(minima or ())))
+    _need_at_least("minima", min(minima, default=1), 1)
     if mode == "attractor" and not minima:
         raise ValueError("attractor mode requires a nonempty minima set")
     check_total(t)
@@ -533,7 +532,6 @@ def verify_range(
         verified=verified,
         failures=tuple(sorted(failures)),
         max_sigma=(best[1], best[0]) if best else None,
-        cursor=n_end + 1,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -641,31 +639,11 @@ class MaxStoppingScan:
     unknown: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "gcollatz.max_stopping_scan/1",
-            "p": self.p,
-            "n_max": self.n_max,
-            "budget": self.budget,
-            "max_sigma": self.max_sigma,
-            "q_at_max": self.q_at_max,
-            "n_at_max": self.n_at_max,
-            "max_sigma_trivial": self.max_sigma_trivial,
-            "q_at_max_trivial": self.q_at_max_trivial,
-            "n_at_max_trivial": self.n_at_max_trivial,
-            "unknown": self.unknown,
-            "per_map": [
-                {
-                    "q": m.q,
-                    "max_sigma": m.max_sigma,
-                    "argmax_n": m.argmax_n,
-                    "max_sigma_trivial": m.max_sigma_trivial,
-                    "argmax_n_trivial": m.argmax_n_trivial,
-                    "unknown": m.unknown,
-                    "trivial_unreachable": m.trivial_unreachable,
-                }
-                for m in self.per_map
-            ],
-        }
+        """Every field, in field order; per_map entries drop the p they share."""
+        d = {"schema": "gcollatz.max_stopping_scan/1", **asdict(self)}
+        for m in d["per_map"]:
+            del m["p"]
+        return d
 
 
 def max_stopping_scan(
@@ -685,6 +663,7 @@ def max_stopping_scan(
     _need_at_least("p", p, 0)
     _need_at_least("n_max", n_max, 1)
     _need_at_least("budget", budget, 1)
+    _need_at_least("workers", workers, 1)
     header = {
         "type": "scan_header",
         "schema": "gcollatz.checkpoint/1",

@@ -11,7 +11,6 @@ Three identity groups are exposed:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -149,9 +148,6 @@ class IdentityReport:
             "mismatches": list(self.mismatches),
             "pass": self.passed,
         }
-
-    def json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _draw_akr(rng, t, offset):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from gcollatz.core import Triplet, validate_triplet
+from gcollatz.core import Triplet, report_json, validate_triplet
 
 
 @lru_cache(maxsize=256)
@@ -136,7 +136,7 @@ def export_json(g: InverseGraph) -> str:
         "edges": [list(e) for e in g.edges],
         "truncated": g.truncated,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return report_json(doc)
 
 
 def parse_json(text: str) -> InverseGraph:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gcollatz.core import step, validate_triplet
+from gcollatz.core import report_json, step, validate_triplet
 from gcollatz.dynamics import (
     find_cycles_in_range,
     max_stopping_scan,
@@ -268,7 +268,7 @@ def test_criterion_10_table_comparison(table10):
 
 def test_criterion_11_determinism(scan5, sweep6, table10):
     # workers: byte-identical reports (timing excluded) for 1 and 8 workers
-    assert scan5.w1.json(include_timing=False) == scan5.w8.json(include_timing=False)
+    assert report_json(scan5.w1.to_dict(include_timing=False)) == report_json(scan5.w8.to_dict(include_timing=False))
     assert _sweep_json(sweep6.w1) == _sweep_json(sweep6.w8)
     assert _table_json(table10.w1) == _table_json(table10.w8)
 
@@ -277,7 +277,7 @@ def test_criterion_11_determinism(scan5, sweep6, table10):
     scan5.ck.write_text("\n".join(lines[:-2]) + "\n")
     resumed = verify_range(T_MOD10, 1, 10**7, mode="descent", minima={4},
                            workers=1, checkpoint=str(scan5.ck))
-    assert resumed.json(include_timing=False) == scan5.w1.json(include_timing=False)
+    assert report_json(resumed.to_dict(include_timing=False)) == report_json(scan5.w1.to_dict(include_timing=False))
 
     victim = sweep6.paths[(8, 0)]
     with open(victim) as fh:

@@ -231,13 +231,23 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
         (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "-1"), "block_size >= 1, got -1"),
         (("verify", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
         (("table", "--p-max", "1", "--n-max", "20", "--budget", "0"), "budget >= 1, got 0"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--workers", "0"), "workers >= 1, got 0"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--workers", "-2"), "workers >= 1, got -2"),
+        (("table", "--p-max", "1", "--n-max", "20", "--workers", "0"), "workers >= 1, got 0"),
+        (("table", "--p-max", "1", "--n-max", "20", "--workers", "-2"), "workers >= 1, got -2"),
+        (("verify", "--p", "1", "--q", "0", "--to", "50", "--minima=-3"), "minima >= 1, got -3"),
+        (("verify", "--p", "1", "--q", "0", "--to", "50", "--mode", "attractor", "--minima", "0"),
+         "minima >= 1, got 0"),
+        (("traj", "--p", "1", "--q", "0", "--n", "5", "--stop", "0"), "minima >= 1, got 0"),
         (("cycles", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
         (("cycles", "--p", "3", "--q", "1", "--to", "-5"), "n_max >= 1, got -5"),
         (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "0"), "trials >= 1, got 0"),
         (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "-1"), "trials >= 1, got -1"),
     ],
-    ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "cycles-budget",
-         "cycles-to-neg", "identities-trials-0", "identities-trials-neg"],
+    ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "verify-workers-0",
+         "verify-workers-neg", "table-workers-0", "table-workers-neg", "verify-minima-neg",
+         "verify-attractor-minima-0", "traj-stop-0", "cycles-budget", "cycles-to-neg",
+         "identities-trials-0", "identities-trials-neg"],
 )
 def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
     code = main(list(argv))
@@ -376,6 +386,120 @@ def test_graph_deterministic(capsys):
     _, a = run(capsys, *argv)
     _, b = run(capsys, *argv)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# exact report bytes
+# ---------------------------------------------------------------------------
+
+# stdout of the CSV writer, the table report and the graph JSON, byte for byte
+GOLDEN_STDOUT = {
+    "verify-csv-pass": (
+        "verify --p 3 --q 1 --to 3e3 --format csv".split(),
+        0,
+        """\
+label,n_start,n_end,mode,verified,failures,max_sigma_n,max_sigma_steps,pass
+(10,12,8)+,1,3000,descent,3000,,2077,62,True
+""",
+    ),
+    "verify-csv-failures": (
+        "verify --d 12 --alpha 14 --beta 10 --to 50 --mode attractor --minima 4 --format csv".split(),
+        1,
+        """\
+label,n_start,n_end,mode,verified,failures,max_sigma_n,max_sigma_steps,pass
+(12,14,10)+,1,50,attractor,40,5;10;15;20;25;30;35;40;45;50,31,28,False
+""",
+    ),
+    "verify-csv-no-record": (
+        "verify --p 0 --q 0 --from 1 --to 1 --mode attractor --format csv".split(),
+        0,
+        """\
+label,n_start,n_end,mode,verified,failures,max_sigma_n,max_sigma_steps,pass
+(2,3,1)+,1,1,attractor,1,,,,True
+""",
+    ),
+    "table-csv": (
+        "table --p-max 1 --n-max 200".split(),
+        0,
+        """\
+p,max_sigma,q_at_max,n_at_max,max_sigma_trivial,q_at_max_trivial,n_at_max_trivial,unknown,reference,matches_reference
+0,79,0,171,79,0,171,0,246,False
+1,29,0,187,27,1,129,0,213,False
+""",
+    ),
+    "table-json": (
+        "table --p-max 1 --n-max 200 --format json".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "budget": 1000000,
+  "n_max": 200,
+  "rows": [
+    {
+      "matches_reference": false,
+      "max_sigma": 79,
+      "max_sigma_trivial": 79,
+      "n_at_max": 171,
+      "n_at_max_trivial": 171,
+      "p": 0,
+      "q_at_max": 0,
+      "q_at_max_trivial": 0,
+      "reference": 246,
+      "unknown": 0
+    },
+    {
+      "matches_reference": false,
+      "max_sigma": 29,
+      "max_sigma_trivial": 27,
+      "n_at_max": 187,
+      "n_at_max_trivial": 129,
+      "p": 1,
+      "q_at_max": 0,
+      "q_at_max_trivial": 1,
+      "reference": 213,
+      "unknown": 0
+    }
+  ],
+  "schema": "gcollatz.table/1"
+}
+""",
+    ),
+    "graph-json": (
+        "graph --d 3 --alpha 4 --beta 1 --kappa -1 --root 1 --depth 1 --format json".split(),
+        0,
+        """\
+{
+  "edges": [
+    [
+      3,
+      1
+    ]
+  ],
+  "nodes": [
+    1,
+    3
+  ],
+  "roots": [
+    1
+  ],
+  "schema": "gcollatz.inverse_graph/1",
+  "triplet": {
+    "alpha": 4,
+    "beta": 1,
+    "d": 3,
+    "kappa0": -1
+  },
+  "truncated": true
+}
+""",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, out", GOLDEN_STDOUT.values(), ids=GOLDEN_STDOUT.keys())
+def test_report_bytes(capsys, argv, code, out):
+    assert run(capsys, *argv) == (code, out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcollatz import dynamics
-from gcollatz.core import iterate, step, validate_triplet
+from gcollatz.core import iterate, report_json, step, validate_triplet
 from gcollatz.dynamics import (
     DEFAULT_BLOCK,
     descent_time,
@@ -270,15 +270,41 @@ def test_attractor_trapped_scan_worker_and_journal_identity(tmp_path):
     one, two = tmp_path / "one.ndjson", tmp_path / "two.ndjson"
     a = _trapped_scan(workers=1, checkpoint=str(one))
     b = _trapped_scan(workers=2, checkpoint=str(two))
-    assert a.json(include_timing=False) == b.json(include_timing=False)
+    assert report_json(a.to_dict(include_timing=False)) == report_json(b.to_dict(include_timing=False))
     assert one.read_bytes() == two.read_bytes()
+
+
+# kappa0 = -1 maps: every cycle below 3000 listed as minima (found with budget
+# 1e4, no seed exhausted), except (3,5,2)-, whose cycles at 8, 11, 13 and 16
+# are left out so that 2979 of 1..3000 are trapped and reach the tortoise
+MINUS_MAPS = [
+    (validate_triplet(3, 4, 1, -1), (1, 7), 10**4),
+    (validate_triplet(5, 7, 2, -1), (1, 2, 12), 10**4),
+    (validate_triplet(6, 7, 1, -1), (1, 23, 88), 10**4),
+    (validate_triplet(3, 5, 2, -1), (1,), 10**3),
+]
+
+
+@pytest.mark.parametrize("t, minima, budget", MINUS_MAPS, ids=[t.label for t, _, _ in MINUS_MAPS])
+@pytest.mark.parametrize("lo", [1, 10**12 + 1])
+def test_attractor_minus_maps_match_naive(t, minima, budget, lo):
+    naive = {n: total_stopping_time(t, n, minima, budget) for n in range(lo, lo + 3000)}
+    failures = [n for n, s in naive.items() if s is None]
+    top = max((s for s in naive.values() if s is not None), default=None)
+    best = None if top is None else (min(n for n, s in naive.items() if s == top), top)
+    for block_size in (3000, 777, 1):
+        rep = verify_range(t, lo, lo + 2999, mode="attractor", minima=minima, budget=budget,
+                           block_size=block_size)
+        assert list(rep.failures) == failures
+        assert rep.verified == 3000 - len(failures)
+        assert rep.max_sigma == best
 
 
 def test_verify_range_worker_determinism():
     kw = dict(mode="descent", minima={4}, block_size=1024)
     a = verify_range(T_MOD10, 1, 20000, workers=1, **kw)
     b = verify_range(T_MOD10, 1, 20000, workers=4, **kw)
-    assert a.json(include_timing=False) == b.json(include_timing=False)
+    assert report_json(a.to_dict(include_timing=False)) == report_json(b.to_dict(include_timing=False))
 
 
 def test_verify_range_checkpoint_resume(tmp_path):
@@ -290,11 +316,11 @@ def test_verify_range_checkpoint_resume(tmp_path):
     lines = ck.read_text().splitlines()
     ck.write_text("\n".join(lines[:-2]) + "\n" + '{"type": "block", "block_st')
     resumed = verify_range(T_MOD10, 1, 10000, checkpoint=str(ck), **kw)
-    assert resumed.json(include_timing=False) == full.json(include_timing=False)
+    assert report_json(resumed.to_dict(include_timing=False)) == report_json(full.to_dict(include_timing=False))
 
     # a fully complete checkpoint short-circuits the whole scan
     again = verify_range(T_MOD10, 1, 10000, checkpoint=str(ck), **kw)
-    assert again.json(include_timing=False) == full.json(include_timing=False)
+    assert report_json(again.to_dict(include_timing=False)) == report_json(full.to_dict(include_timing=False))
 
 
 def test_verify_range_checkpoint_mismatch(tmp_path):
@@ -349,7 +375,7 @@ def test_checkpoint_resumes_journal_with_extra_header_field(tmp_path):
     header["sieve"] = False
     ck.write_text("\n".join([json.dumps(header, sort_keys=True)] + lines[1:-1]) + "\n")
     resumed = verify_range(T_MOD10, 1, 3000, **kw)
-    assert resumed.json(include_timing=False) == full.json(include_timing=False)
+    assert report_json(resumed.to_dict(include_timing=False)) == report_json(full.to_dict(include_timing=False))
     assert ck.read_text().splitlines()[1:] == VERIFY_JOURNAL_RECORDS
 
 
@@ -456,6 +482,31 @@ def test_scans_reject_budget_below_one(tmp_path, budget):
     assert not ck.exists()
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_scans_reject_workers_below_one(tmp_path, workers):
+    ck = tmp_path / "scan.ndjson"
+    message = rf"^need workers >= 1, got {workers}$"
+    with pytest.raises(ValueError, match=message):
+        verify_range(T_MOD10, 1, 10, workers=workers, checkpoint=str(ck))
+    with pytest.raises(ValueError, match=message):
+        max_stopping_scan(1, 20, workers=workers, checkpoint=str(ck))
+    assert not ck.exists()
+
+
+@pytest.mark.parametrize("low", [0, -3])
+def test_minima_below_one_are_refused(tmp_path, low):
+    # an orbit never meets a minimum below 1: descent mode would then take no
+    # seed as a base case (seed 1 fails) and attractor mode would verify none
+    ck = tmp_path / "scan.ndjson"
+    message = rf"^need minima >= 1, got {low}$"
+    for mode in ("descent", "attractor"):
+        with pytest.raises(ValueError, match=message):
+            verify_range(T_MOD10, 1, 50, mode=mode, minima={low, 4}, checkpoint=str(ck))
+    with pytest.raises(ValueError, match=message):
+        trajectory(T_MOD10, 5, stop={low})
+    assert not ck.exists()
+
+
 def test_find_cycles_rejects_empty_range():
     for n_max in (0, -5):
         with pytest.raises(ValueError, match=rf"^need n_max >= 1, got {n_max}$"):
@@ -472,13 +523,13 @@ def test_max_stopping_scan_rejects_bad_column():
 
 def test_scan_report_json_shape():
     rep = verify_range(T_CLASSIC, 1, 500, mode="attractor", minima={1})
-    doc = json.loads(rep.json())
+    doc = json.loads(report_json(rep.to_dict()))
     assert doc["schema"] == "gcollatz.scan_report/1"
     assert doc["triplet"] == {"d": 2, "alpha": 3, "beta": 1, "kappa0": 1}
     assert doc["range"] == [1, 500]
     assert doc["pass"] is True
     assert "wall_time" in doc
-    assert "wall_time" not in json.loads(rep.json(include_timing=False))
+    assert "wall_time" not in json.loads(report_json(rep.to_dict(include_timing=False)))
 
 
 # ---------------------------------------------------------------------------

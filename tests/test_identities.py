@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcollatz.core import iterate, step, validate_triplet
+from gcollatz.core import iterate, report_json, step, validate_triplet
 from gcollatz.dynamics import total_stopping_time
 from gcollatz.identities import (
     PreconditionError,
@@ -130,7 +130,7 @@ def test_check_identity_reproducible():
     a = check_identity("31", T_MOD10, trials=200, seed=42)
     b = check_identity("31", T_MOD10, trials=200, seed=42)
     assert a == b
-    assert a.json() == b.json()
+    assert report_json(a.to_dict()) == report_json(b.to_dict())
 
 
 def test_check_identity_unknown_theorem():
