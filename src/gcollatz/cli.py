@@ -333,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("traj", help="print one trajectory")
     common(sp)
     sp.add_argument("--n", type=exact_int, required=True)
-    sp.add_argument("--stop", type=int_set, help="comma-separated attractor minima")
-    sp.add_argument("--descend", action="store_true", help="stop at the first value below n")
+    until = sp.add_mutually_exclusive_group()
+    until.add_argument("--stop", type=int_set, help="comma-separated attractor minima")
+    until.add_argument("--descend", action="store_true", help="stop at the first value below n")
     sp.add_argument("--budget", type=exact_int, default=DEFAULT_BUDGET)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(fn=cmd_traj)

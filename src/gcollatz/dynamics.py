@@ -3,9 +3,11 @@ range verification with checkpoint/resume, and stopping-time record scans.
 
 The range scanners split work into fixed-size blocks merged in block order,
 so reports are identical regardless of worker count.  Hot loops inline the
-map instead of calling core.step; exactness of the inlined division is
-guaranteed for every validated triplet, and positivity is re-checked once
-per scan via core totality conditions.
+map as one step for both signs, r = v % m; v = (alpha*v + b*r) // d if r else
+v // d, with (m, b) from _step_form; exactness of the division is guaranteed
+for every validated triplet, and positivity is re-checked once per scan via
+core totality conditions.  Attractor-mode verify and the stopping-time table
+share one memoized kernel, _stopping_times.
 
 Descent mode takes the first k steps of most seeds from a table over
 r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
@@ -70,12 +72,10 @@ def trajectory(t: Triplet, n: int, stop=None, budget: int = DEFAULT_BUDGET) -> T
     """Record the orbit of n until a stop condition fires.
 
     stop may be a set of attractor minima, the string "descent" (stop at the
-    first value below n), an int (pure step budget), or None (budget only).
-    Budget exhaustion is a terminal state, not an error.
+    first value below n), or None (budget only).  Budget exhaustion is a
+    terminal state, not an error.
     """
     _need_at_least("n", n, 1)
-    if isinstance(stop, int):
-        budget, stop = stop, None
     _need_at_least("budget", budget, 1)
     check_total(t)
     descent = stop == "descent"
@@ -218,6 +218,12 @@ class ScanReport:
         return d
 
 
+def _step_form(d: int, beta: int, kappa: int) -> tuple[int, int]:
+    """(m, b) of the inlined step; as v % -d is -[-v]_d, kappa0 = -1 takes
+    (-d, -beta) and needs no branch per step."""
+    return (d, beta) if kappa > 0 else (-d, -beta)
+
+
 @lru_cache(maxsize=4)
 def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
     """Descent table over r mod d^depth, or None if a value needs over 64 bits.
@@ -228,6 +234,7 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
     jstar 0 ("survivors"), with alpha^s_depth(r) and T^depth(r); and amin, the
     least a from which every class descends at its jstar and no earlier step.
     """
+    m, b = _step_form(d, beta, kappa)
     jstar = bytearray(d**depth)
     survivors, mult, tail = array("H"), array("q"), array("q")
     amin = 0
@@ -235,11 +242,8 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
         for r in range(d**depth):
             v, s = r, 0
             for j in range(1, depth + 1):
-                m = v % d
-                if m:
-                    v, s = (alpha * v + beta * (m if kappa == 1 else d - m)) // d, s + 1
-                else:
-                    v //= d
+                x = v % m
+                v, s = ((alpha * v + b * x) // d, s + 1) if x else (v // d, s)
                 c = d ** (depth - j) * (d**j - alpha**s)
                 if c > 0:  # descends here once a*c > v - r
                     jstar[r] = j
@@ -263,6 +267,7 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     starts depth steps in.  Other rows start every seed at (n, 0).
     """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
+    m, b = _step_form(d, beta, kappa)
     top = max(minima, default=1)
     depth = 0
     while d ** (depth + 1) <= min(_TABLE_CLASSES, bend - bstart + 1):
@@ -282,7 +287,7 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
             if j > best[0]:  # every survivor that descends takes more steps
                 best = (j, lo + settled.index(j))
             i, e = bisect_left(survivors, lo - base), bisect_right(survivors, hi - base)
-            starts = ((base + r, m * a + c) for r, m, c in islice(zip(survivors, mult, tail), i, e))
+            starts = ((base + r, u * a + c) for r, u, c in islice(zip(survivors, mult, tail), i, e))
             k0 = depth
         else:
             starts, k0 = zip(range(lo, hi + 1), range(lo, hi + 1)), 0
@@ -292,11 +297,8 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
                 verified += 1
                 continue
             while k < budget:
-                r = v % d
-                if r:
-                    v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
-                else:
-                    v //= d
+                r = v % m
+                v = (alpha * v + b * r) // d if r else v // d
                 k += 1
                 if v < n or low and v in minima:
                     break
@@ -309,62 +311,85 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     return verified, failures, best
 
 
-def _attractor_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget: int):
-    """Attractor mode: the orbit must enter the minima.  Exact stopping counts
-    are memoized block-locally (seeds go ascending, so any orbit value inside
-    the block and below the current seed is resolved).  From step
-    _TORTOISE_AT on, Brent's cycle test runs as in detect_cycle: an orbit that
-    meets its tortoise again is trapped in a cycle with no minimum, and the
-    seed fails without spending the rest of the budget.
+def _stopping_times(t, lo, hi, minima, budget, sigma, trapped, triv=None, members=frozenset()):
+    """Stopping times into minima of the seeds lo..hi, walked in ascending order.
+
+    sigma and trapped are the memo, indexed by the seed; an orbit value in
+    [lo, n) ends the walk with that seed's entries.  sigma[n] is n's stopping
+    time, or _FAILED when the budget is spent or the orbit is trapped in a
+    cycle with no minimum: it returns to n, or from step _TORTOISE_AT on meets
+    Brent's tortoise (as in detect_cycle), which rides in the set the loop
+    probes anyway.  trapped[n] is set when the orbit meets members short of a
+    minimum, ends at a minimum other than triv, returns to n, or reaches a
+    smaller seed whose bit is set.  Returns
+    (failures, best, best_trivial): the first (sigma, n) with the largest
+    sigma over all seeds and over those with a clear trapped bit, or (-1, 0).
     """
-    d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
-    verified, failures, best = 0, [], (0, 0)  # best: (steps, n)
-    memo: dict[int, int] = {}
+    d, alpha = t.d, t.alpha
+    m, b = _step_form(d, t.beta, t.kappa0)
+    probe = minima | members
     lim0 = min(budget, _TORTOISE_AT)
-    for n in range(bstart, bend + 1):
-        k = 0
-        if n not in minima:
-            v = n
-            sigma = -1
-            stops, lim = minima, lim0
+    failures, top, top_n, top_t, top_t_n = [], -1, 0, -1, 0
+    for n in range(lo, hi + 1):
+        s, x = _FAILED, 0
+        if n in minima:
+            s, x = 0, n != triv
+        else:
+            v, k = n, 0
+            stops, lim = probe, lim0
             while True:
                 while k < lim:
-                    r = v % d
-                    if r:
-                        v = (alpha * v + beta * (r if kappa == 1 else d - r)) // d
-                    else:
-                        v //= d
+                    r = v % m
+                    v = (alpha * v + b * r) // d if r else v // d
                     k += 1
                     if v in stops:
-                        if v in minima:  # else v is the tortoise: a cycle closed
-                            sigma = k
-                        break
-                    if bstart <= v < n:
-                        prior = memo[v]
-                        sigma = -1 if prior < 0 else k + prior
+                        if v in minima:
+                            s, x = k, x | (v != triv)
+                            break
+                        if v not in members:  # the tortoise: a cycle with no minimum closed
+                            break
+                        x = 1  # a member of a listed cycle, short of its minimum
+                    if v <= n and v >= lo:
+                        if v < n:
+                            prior = sigma[v]
+                            s = prior if prior == _FAILED else k + prior
+                            x |= trapped[v]
+                        else:  # n is the least member of a cycle with no minimum
+                            x = 1
                         break
                 else:
                     if k < budget:  # move the tortoise to v and double the stretch
-                        stops, lim = minima | {v}, min(budget, 2 * k)
+                        stops, lim = probe | {v}, min(budget, 2 * k)
                         continue
                 break
-            memo[n] = sigma
-            k = sigma
-        if k >= 0:
-            verified += 1
-            if k > best[0]:
-                best = (k, n)
-        else:
+        sigma[n] = s
+        trapped[n] = x
+        if s == _FAILED:
             failures.append(n)
-    return verified, failures, best
+        else:
+            if s > top:
+                top, top_n = s, n
+            if not x and s > top_t:
+                top_t, top_t_n = s, n
+    return failures, (top, top_n), (top_t, top_t_n)
 
 
 def _certify_block(args) -> dict:
     """Certify every seed of one block and return its journal record; runs in
-    worker processes (see _descent_seeds and _attractor_seeds for the modes)."""
+    worker processes.  Descent mode is _descent_seeds; attractor mode is
+    _stopping_times, whose memo is a pair of arrays from 0 when they are at
+    most twice the block's length, else a pair of dicts."""
     t, bstart, bend, mode, minima, budget = args
-    seeds = _descent_seeds if mode == "descent" else _attractor_seeds
-    verified, failures, best = seeds(t, bstart, bend, frozenset(minima), budget)
+    minima = frozenset(minima)
+    if mode == "descent":
+        verified, failures, best = _descent_seeds(t, bstart, bend, minima, budget)
+    else:
+        if bstart <= bend - bstart + 1:
+            sigma, trapped = array("I", [_FAILED]) * (bend + 1), bytearray(bend + 1)
+        else:
+            sigma, trapped = {}, {}
+        failures, best, _ = _stopping_times(t, bstart, bend, minima, budget, sigma, trapped)
+        verified = bend - bstart + 1 - len(failures)
     return {
         "type": "block",
         "block_start": bstart,
@@ -372,8 +397,8 @@ def _certify_block(args) -> dict:
         "status": "pass" if not failures else "fail",
         "verified": verified,
         "failures": failures,
-        "max_sigma": list(best) if best[0] else None,
-        "argmax_n": best[1] if best[0] else None,
+        "max_sigma": list(best) if best[0] > 0 else None,
+        "argmax_n": best[1] if best[0] > 0 else None,
     }
 
 
@@ -562,55 +587,19 @@ class MapSigmaScan:
 def _sigma_map_scan(args) -> dict:
     """Scan one (p, q) column; returns its journal record (MapSigmaScan fields).
 
-    sigma[n] is n's stopping time to the full minima; trapped[n] is set when
-    n's orbit meets an exceptional cycle, which it never leaves, or returns to
-    n.  The trivial minimum is one of the full minima, so n's trivial-only
-    stopping time is sigma[n] while trapped[n] is clear, and there is none once
-    it is set.
+    _stopping_times walks seeds 1..n_max into the full minima, with the
+    exceptional cycles' members as members.  The trivial minimum is one of the
+    full minima, so a seed's trivial-only stopping time is its full one while
+    its trapped bit is clear, and there is none once it is set.
     """
     p, q, n_max, budget = args
-    t = make_pq(p, q)
-    d, alpha, beta = t.d, t.alpha, t.beta
-    full = frozenset(attractor_minima(p, q))
-    triv = 2 ** (p - q)
-    stops = full.union(m for c in exceptional_registry().get((p, q), ()) for m in c.members)
-
-    size = n_max + 1
-    sigma = array("I", [_FAILED]) * size
-    trapped = bytearray(size)
-    best = best_trivial = (-1, 0)
-
-    for n in range(1, size):
-        s, x = _FAILED, 0
-        if n in full:
-            s, x = 0, n != triv
-        else:
-            v, k = n, 0
-            while k < budget:
-                r = v % d
-                v = (alpha * v + beta * r) // d if r else v // d
-                k += 1
-                if v in stops:
-                    if v in full:
-                        s, x = k, x | (v != triv)
-                        break
-                    x = 1  # a member of an exceptional cycle, short of its minimum
-                if v <= n:
-                    if v < n:
-                        prior = sigma[v]
-                        s = prior if prior == _FAILED else k + prior
-                        x |= trapped[v]
-                    else:  # n is the minimum of an unregistered cycle
-                        x = 1
-                    break
-        sigma[n] = s
-        trapped[n] = x
-        if s != _FAILED:
-            if s > best[0]:
-                best = (s, n)
-            if not x and s > best_trivial[0]:
-                best_trivial = (s, n)
-
+    minima = frozenset(attractor_minima(p, q))
+    members = frozenset(m for c in exceptional_registry().get((p, q), ()) for m in c.members)
+    sigma = array("I", [_FAILED]) * (n_max + 1)
+    trapped = bytearray(n_max + 1)
+    failures, best, best_trivial = _stopping_times(
+        make_pq(p, q), 1, n_max, minima, budget, sigma, trapped, 2 ** (p - q), members
+    )
     return {
         "type": "map",
         "p": p,
@@ -619,7 +608,7 @@ def _sigma_map_scan(args) -> dict:
         "argmax_n": best[1],
         "max_sigma_trivial": best_trivial[0],
         "argmax_n_trivial": best_trivial[1],
-        "unknown": sigma.count(_FAILED) - 1,  # sigma[0] is unused
+        "unknown": len(failures),
         "trivial_unreachable": trapped.count(1),
     }
 

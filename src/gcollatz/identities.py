@@ -150,13 +150,13 @@ class IdentityReport:
         }
 
 
-def _draw_akr(rng, t, offset):
-    """(a, k, r) with a*d^k + kappa0*offset(r) >= 1; rejected draws redrawn."""
+def _draw_akr(rng, t):
+    """(a, k, r) with a*d^k + kappa0*r >= 1; rejected draws redrawn."""
     while True:
         a = rng.randint(1, MAX_A)
         k = rng.randint(0, MAX_K)
         r = rng.randint(1, t.d - 1)
-        if a * t.d**k + t.kappa0 * offset(r) >= 1:
+        if a * t.d**k + t.kappa0 * r >= 1:
             return a, k, r
 
 
@@ -188,13 +188,13 @@ def check_identity(theorem: str, t: Triplet, trials: int = 10**4, seed: int = 0)
     elif theorem == "32":
         _require_lambda0_one(t)
         for _ in range(trials):
-            a, k, r = _draw_akr(rng, t, lambda r: r)
+            a, k, r = _draw_akr(rng, t)
             m = a * t.d**k + t.kappa0 * r
             check("iterate", {"a": a, "k": k, "r": r}, thm32_iterate(t, a, k, r), iterate(t, m, k))
     elif theorem == "33":
         _require_unit_family(t)
         for _ in range(trials):
-            a, k, r = _draw_akr(rng, t, lambda r: r)
+            a, k, r = _draw_akr(rng, t)
             m = a * t.d**k + t.kappa0 * r
             check("iterate", {"a": a, "k": k, "r": r}, thm33_iterate(t, a, k, r), iterate(t, m, k))
             k2 = rng.randint(3, MAX_K)

@@ -270,6 +270,14 @@ def test_main_names_internal_errors(capsys, monkeypatch):
         assert capsys.readouterr().err.splitlines()[-1] == f"error [{type(exc).__name__}]: {exc}"
 
 
+def test_traj_refuses_stop_with_descend(capsys):
+    # one stop rule per trajectory: --descend used to drop --stop silently
+    with pytest.raises(SystemExit) as exc:
+        main(["traj", "--p", "3", "--q", "1", "--n", "75", "--stop", "40", "--descend"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_traj_and_table_json_schemas(capsys):
     _, out = run(capsys, "traj", "--p", "3", "--q", "1", "--n", "75", "--format", "json")
     schema_validator("trajectory.schema.json").validate(json.loads(out))

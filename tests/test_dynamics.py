@@ -56,7 +56,7 @@ def test_trajectory_descent_and_budget_modes():
     assert tr.stopped_at == 8
     assert tr.values[-1] == 32
 
-    tr = trajectory(T_MOD10, 75, stop=3)  # bare int means a step budget
+    tr = trajectory(T_MOD10, 75, budget=3)
     assert tr.terminal == "budget_exhausted"
     assert tr.values == (75, 94, 116, 144)
 
@@ -203,29 +203,34 @@ def _trapped_scan(**kw):
 
 
 class _CountingInt(int):
-    """A block start that counts the memo bound checks: one per inlined step."""
+    """A modulus d that counts the remainders taken: one per inlined step."""
 
-    checks = 0
+    steps = 0
 
-    def __le__(self, other):
-        _CountingInt.checks += 1
-        return int(self) <= other
+    def __rmod__(self, other):
+        _CountingInt.steps += 1
+        return other % int(self)
+
+
+def _counting(t):
+    return validate_triplet(_CountingInt(t.d), t.alpha, t.beta, t.kappa0)
 
 
 def _steps_to_fail(t, n, minima, budget):
-    _CountingInt.checks = 0
-    rec = dynamics._certify_block((t, _CountingInt(n), n, "attractor", frozenset(minima), budget))
+    t = _counting(t)
+    _CountingInt.steps = 0
+    rec = dynamics._certify_block((t, n, n, "attractor", frozenset(minima), budget))
     assert rec["failures"] == [n]
-    return _CountingInt.checks
+    return _CountingInt.steps
 
 
 def test_trapped_seed_exits_at_cycle_closure():
-    # 1305 lies on a 17-cycle with no minimum, and 955 enters it only after
-    # some steps: each must fail soon after the first tortoise goes down,
-    # not spend the budget
-    for n in (1305, 955):
-        steps = _steps_to_fail(T_TRAPPED, n, {4, 5}, 10**6)
-        assert dynamics._TORTOISE_AT < steps < 2 * dynamics._TORTOISE_AT
+    # 1305, the least member of a 17-cycle with no minimum, fails as soon as
+    # its orbit comes back to it; 955 enters that cycle above itself, so it
+    # fails soon after the first tortoise goes down, not after the budget
+    assert _steps_to_fail(T_TRAPPED, 1305, {4, 5}, 10**6) == 17
+    steps = _steps_to_fail(T_TRAPPED, 955, {4, 5}, 10**6)
+    assert dynamics._TORTOISE_AT < steps < 2 * dynamics._TORTOISE_AT
 
 
 @functools.cache
@@ -683,6 +688,22 @@ def test_sigma_map_scan_matches_two_memos_unregistered_cycles(monkeypatch):
         for p, q in ((1, 0), (2, 1), (2, 2), (3, 0), (4, 0), (5, 2))
         for budget in (1, 5, 9, 20, 50, 300, 10**4)
     )
+
+
+def test_sigma_map_scan_exits_below_unregistered_cycles(monkeypatch):
+    # with only the trivial cycle known, seeds below the minimum of an
+    # exceptional cycle of (1,0) enter it and fail at cycle closure: the
+    # record and the steps walked do not depend on the budget
+    monkeypatch.setattr(dynamics, "exceptional_registry", lambda: {})
+    monkeypatch.setattr(dynamics, "attractor_minima", lambda p, q: frozenset({2 ** (p - q)}))
+    monkeypatch.setattr(dynamics, "make_pq", lambda p, q: _counting(make_pq(p, q)))
+    runs = []
+    for budget in (10**4, 10**6):
+        _CountingInt.steps = 0
+        rec = dynamics._sigma_map_scan((1, 0, 3000, budget))
+        runs.append((rec, _CountingInt.steps))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["unknown"] > 0
 
 
 # ---------------------------------------------------------------------------
