@@ -9,9 +9,11 @@ scientific notation parsed to exact integers (1e7 -> 10000000).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
+from importlib import resources
 
 from gcollatz import __version__
 from gcollatz.core import DomainError, InternalError, Triplet, report_json, validate_triplet
@@ -35,15 +37,6 @@ from gcollatz.invgraph import build_inverse_graph, export_dot, export_json
 
 WORKERS_ENV = "GCOLLATZ_WORKERS"
 MAX_INT_DIGITS = 4300  # CPython's default int/str conversion limit
-
-# Reference maxima for the comparison column of the table command, indexed
-# by p (bundled from prior published runs at n_max = 1e7).
-REFERENCE_MAX_SIGMA = {
-    0: 246, 1: 213, 2: 268, 3: 374, 4: 349, 5: 731, 6: 737, 7: 818,
-    8: 1444, 9: 3152, 10: 3638, 11: 3639, 12: 4108, 13: 8205, 14: 16398,
-    15: 32783, 16: 65552, 17: 131089, 18: 262162, 19: 131091, 20: 1048596,
-    21: 2097173, 22: 4194326, 23: 8388631, 24: 16777240, 25: 33554457,
-}
 
 
 def exact_int(text: str) -> int:
@@ -235,16 +228,23 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _reference_max_sigma() -> dict[int, int]:
+    """Reference maxima for the table's comparison column, by p."""
+    text = resources.files("gcollatz").joinpath("data/reference_max_sigma.json").read_text()
+    return {int(p): s for p, s in json.loads(text)["max_sigma"].items()}
+
+
 def cmd_table(args) -> int:
     if args.p_max < 0 or args.n_max < 1:
         raise SystemExit2("need --p-max >= 0 and --n-max >= 1")
     _header(
         f"table p<= {args.p_max} n_max={args.n_max} budget={args.budget} workers={args.workers}"
     )
+    reference = _reference_max_sigma()
     rows = []
     for p in range(args.p_max + 1):
         scan = max_stopping_scan(p, args.n_max, budget=args.budget, workers=args.workers)
-        ref = REFERENCE_MAX_SIGMA.get(p)
+        ref = reference.get(p)
         # the table document holds n_max and budget once; rows carry no per-map detail
         row = {k: v for k, v in scan.to_dict().items()
                if k not in ("schema", "n_max", "budget", "per_map")}

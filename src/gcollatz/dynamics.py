@@ -7,7 +7,10 @@ map as one step for both signs, r = v % m; v = (alpha*v + b*r) // d if r else
 v // d, with (m, b) from _step_form; exactness of the division is guaranteed
 for every validated triplet, and positivity is re-checked once per scan via
 core totality conditions.  Attractor-mode verify and the stopping-time table
-share one memoized kernel, _stopping_times.
+share one memoized kernel, _stopping_times: a walk that reaches the minima
+within the budget resolves every orbit value it passed in the scanned range,
+so orbits that climb far before they fall (large d) are walked once, not
+once per seed on them.
 
 Descent mode takes the first k steps of most seeds from a table over
 r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
@@ -24,6 +27,7 @@ import os
 import time
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -314,28 +318,45 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
 def _stopping_times(t, lo, hi, minima, budget, sigma, trapped, triv=None, members=frozenset()):
     """Stopping times into minima of the seeds lo..hi, walked in ascending order.
 
-    sigma and trapped are the memo, indexed by the seed; an orbit value in
-    [lo, n) ends the walk with that seed's entries.  sigma[n] is n's stopping
-    time, or _FAILED when the budget is spent or the orbit is trapped in a
-    cycle with no minimum: it returns to n, or from step _TORTOISE_AT on meets
-    Brent's tortoise (as in detect_cycle), which rides in the set the loop
-    probes anyway.  trapped[n] is set when the orbit meets members short of a
+    sigma and trapped are the memo, indexed by the seed (a dict memo must read
+    a missing key as _FAILED and 0).  sigma[n] is n's stopping time, or
+    _FAILED when the budget is spent or the orbit is trapped in a cycle with
+    no minimum: it returns to n, or from step _TORTOISE_AT on meets Brent's
+    tortoise (as in detect_cycle), which rides in the set the loop probes
+    anyway.  trapped[n] is set when the orbit meets members short of a
     minimum, ends at a minimum other than triv, returns to n, or reaches a
-    smaller seed whose bit is set.  Returns
-    (failures, best, best_trivial): the first (sigma, n) with the largest
-    sigma over all seeds and over those with a clear trapped bit, or (-1, 0).
+    seed whose bit is set.  A walk ends at an orbit value in [lo, n) with
+    that seed's entries, and at a resolved one in (n, hi] if the sum of the
+    two times is within the budget.
+
+    A walk that reaches a minimum within the budget also resolves every orbit
+    value v in (n, hi] it passed: at step k, sigma[v] = s - k, and trapped[v]
+    comes from the walk's end and the members met after step k.  Both depend
+    only on the orbit up to its first minimum, so a walk from v would find the
+    same, and v is not walked.  Longer successes (through the memo below n)
+    and failures are not propagated: a walk from v gets the whole budget
+    again and might end otherwise, so _FAILED above n means "not yet known".
+    Returns (failures, best, best_trivial): the first (sigma, n) with the
+    largest sigma over all seeds and over those with a clear trapped bit, or
+    (-1, 0).
     """
     d, alpha = t.d, t.alpha
     m, b = _step_form(d, t.beta, t.kappa0)
     probe = minima | members
     lim0 = min(budget, _TORTOISE_AT)
+    cap = min(budget, _FAILED - 1)  # the longest success joined or propagated
+    path = []  # v, k of the walk's orbit values in (n, hi], flat
+    push = path.append
     failures, top, top_n, top_t, top_t_n = [], -1, 0, -1, 0
     for n in range(lo, hi + 1):
-        s, x = _FAILED, 0
-        if n in minima:
-            s, x = 0, n != triv
+        s = sigma[n]
+        if s != _FAILED:  # set by the walk of a smaller seed
+            x = trapped[n]
+        elif n in minima:
+            s = sigma[n] = 0
+            x = trapped[n] = n != triv
         else:
-            v, k = n, 0
+            v, k, e, met = n, 0, 0, 0  # e: the end's trapped bit; met: last step at a member
             stops, lim = probe, lim0
             while True:
                 while k < lim:
@@ -344,26 +365,41 @@ def _stopping_times(t, lo, hi, minima, budget, sigma, trapped, triv=None, member
                     k += 1
                     if v in stops:
                         if v in minima:
-                            s, x = k, x | (v != triv)
+                            s, e = k, v != triv
                             break
                         if v not in members:  # the tortoise: a cycle with no minimum closed
                             break
-                        x = 1  # a member of a listed cycle, short of its minimum
-                    if v <= n and v >= lo:
-                        if v < n:
-                            prior = sigma[v]
-                            s = prior if prior == _FAILED else k + prior
-                            x |= trapped[v]
-                        else:  # n is the least member of a cycle with no minimum
-                            x = 1
-                        break
+                        met = k  # a member of a listed cycle, short of its minimum
+                    if v <= n:
+                        if v >= lo:
+                            if v < n:
+                                prior = sigma[v]
+                                s = prior if prior == _FAILED else k + prior
+                                e = trapped[v]
+                            else:  # n is the least member of a cycle with no minimum
+                                e = 1
+                            break
+                    elif v <= hi:
+                        prior = sigma[v]
+                        if k + prior <= cap:
+                            s, e = k + prior, trapped[v]
+                            break
+                        push(v)
+                        push(k)
                 else:
                     if k < budget:  # move the tortoise to v and double the stretch
                         stops, lim = probe | {v}, min(budget, 2 * k)
                         continue
                 break
-        sigma[n] = s
-        trapped[n] = x
+            sigma[n] = s
+            x = trapped[n] = e or met > 0
+            if path:
+                if s <= cap:
+                    for i in range(0, len(path), 2):
+                        v, k = path[i], path[i + 1]
+                        sigma[v] = s - k
+                        trapped[v] = e or met > k
+                path.clear()
         if s == _FAILED:
             failures.append(n)
         else:
@@ -378,7 +414,7 @@ def _certify_block(args) -> dict:
     """Certify every seed of one block and return its journal record; runs in
     worker processes.  Descent mode is _descent_seeds; attractor mode is
     _stopping_times, whose memo is a pair of arrays from 0 when they are at
-    most twice the block's length, else a pair of dicts."""
+    most twice the block's length, else a pair of defaultdicts."""
     t, bstart, bend, mode, minima, budget = args
     minima = frozenset(minima)
     if mode == "descent":
@@ -387,7 +423,7 @@ def _certify_block(args) -> dict:
         if bstart <= bend - bstart + 1:
             sigma, trapped = array("I", [_FAILED]) * (bend + 1), bytearray(bend + 1)
         else:
-            sigma, trapped = {}, {}
+            sigma, trapped = defaultdict(lambda: _FAILED), defaultdict(int)
         failures, best, _ = _stopping_times(t, bstart, bend, minima, budget, sigma, trapped)
         verified = bend - bstart + 1 - len(failures)
     return {

@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from gcollatz import cli
 from gcollatz.cli import exact_int, main
 
 TRAJ_135_TAIL = [4000, 400, 40, 4]
@@ -297,6 +298,19 @@ def test_table_small(capsys):
     row = lines[1].split(",")
     assert row[0] == "0" and row[1] == "13" and row[3] == "9"
     assert row[-2] == "246" and row[-1] == "False"  # reference comparison column
+
+
+def test_table_reference_column_reads_the_bundled_file(capsys, monkeypatch):
+    # the comparison values live in data/reference_max_sigma.json, by p
+    doc = json.loads(resources.files("gcollatz").joinpath("data/reference_max_sigma.json").read_text())
+    assert doc["n_max"] == 10**7
+    ref = {int(p): s for p, s in doc["max_sigma"].items()}
+    assert sorted(ref) == list(range(26))
+    assert [ref[p] for p in range(5)] == [246, 213, 268, 374, 349]
+    monkeypatch.setattr(cli, "_reference_max_sigma", lambda: {0: 13})
+    code, out = run(capsys, "table", "--p-max", "1", "--n-max", "10")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[-2:] for row in rows] == [["13", "True"], ["", ""]]
 
 
 def test_table_rejects_empty_range(capsys):

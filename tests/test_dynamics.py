@@ -3,6 +3,7 @@
 import functools
 import json
 from array import array
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -704,6 +705,152 @@ def test_sigma_map_scan_exits_below_unregistered_cycles(monkeypatch):
         runs.append((rec, _CountingInt.steps))
     assert runs[0] == runs[1]
     assert runs[0][0]["unknown"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the memoized stopping-time kernel against the loop that resolves one seed
+# ---------------------------------------------------------------------------
+
+def _stopping_times_plain(t, lo, hi, minima, budget, sigma, trapped, triv=None, members=frozenset()):
+    # Reference for dynamics._stopping_times: the loop before orbit values
+    # were propagated, which sets the memo only for the seed it walks and
+    # reads it only below that seed.  sigma and trapped may be plain dicts.
+    d, alpha = t.d, t.alpha
+    m, b = dynamics._step_form(d, t.beta, t.kappa0)
+    failed = dynamics._FAILED
+    probe = minima | members
+    lim0 = min(budget, dynamics._TORTOISE_AT)
+    failures, top, top_n, top_t, top_t_n = [], -1, 0, -1, 0
+    for n in range(lo, hi + 1):
+        s, x = failed, 0
+        if n in minima:
+            s, x = 0, n != triv
+        else:
+            v, k = n, 0
+            stops, lim = probe, lim0
+            while True:
+                while k < lim:
+                    r = v % m
+                    v = (alpha * v + b * r) // d if r else v // d
+                    k += 1
+                    if v in stops:
+                        if v in minima:
+                            s, x = k, x | (v != triv)
+                            break
+                        if v not in members:
+                            break
+                        x = 1
+                    if v <= n and v >= lo:
+                        if v < n:
+                            prior = sigma[v]
+                            s = prior if prior == failed else k + prior
+                            x |= trapped[v]
+                        else:
+                            x = 1
+                        break
+                else:
+                    if k < budget:
+                        stops, lim = probe | {v}, min(budget, 2 * k)
+                        continue
+                break
+        sigma[n] = s
+        trapped[n] = x
+        if s == failed:
+            failures.append(n)
+        else:
+            if s > top:
+                top, top_n = s, n
+            if not x and s > top_t:
+                top_t, top_t_n = s, n
+    return failures, (top, top_n), (top_t, top_t_n)
+
+
+def _kernels_agree(t, lo, hi, minima, budget, triv, members):
+    """Run both kernels on fresh memos, as _certify_block lays them out, and
+    compare the whole memos and the return values."""
+    runs = []
+    for kernel in (dynamics._stopping_times, _stopping_times_plain):
+        if lo <= hi - lo + 1:
+            sigma, trapped = array("I", [dynamics._FAILED]) * (hi + 1), bytearray(hi + 1)
+        elif kernel is _stopping_times_plain:
+            sigma, trapped = {}, {}
+        else:
+            sigma, trapped = defaultdict(lambda: dynamics._FAILED), defaultdict(int)
+        got = kernel(t, lo, hi, frozenset(minima), budget, sigma, trapped, triv, frozenset(members))
+        runs.append((got, sigma, trapped))
+    (got, sigma, trapped), (want, sigma0, trapped0) = runs
+    label = (t.label, lo, hi, sorted(minima), budget, triv, sorted(members))
+    assert got == want, label
+    if isinstance(sigma0, dict):
+        assert set(sigma) == set(trapped) == set(range(lo, hi + 1)), label
+        sigma, trapped = dict(sigma), dict(trapped)
+    assert sigma == sigma0, label
+    assert trapped == trapped0, label
+
+
+# convergent triplets of both signs, with their cycles from seeds up to 400
+ORACLE_MAPS = [make_pq(0, 0), make_pq(1, 0), make_pq(2, 2), make_pq(3, 1), make_pq(5, 2),
+               T_TRAPPED, *(t for t, _, _ in MINUS_MAPS)]
+
+
+@functools.cache
+def _oracle_cycles(t) -> tuple:
+    return find_cycles_in_range(t, 400, budget=2000).cycles
+
+
+@pytest.mark.parametrize("t", ORACLE_MAPS, ids=[t.label for t in ORACLE_MAPS])
+def test_stopping_times_match_plain_loop(t):
+    # every minimum with the other cycles' members (as the table runs); the
+    # least cycle only, so that seeds are trapped in the others; and members
+    # of cycles whose minima are not listed.  Ranges from 1, from inside the
+    # array memo, and far out in a dict memo; budgets around the first
+    # tortoise, and short enough to fail seeds whose smaller orbit values
+    # succeed
+    cycles = _oracle_cycles(t)
+    least = cycles[0]
+    others = [m for c in cycles[1:] for m in c.members]
+    configs = [
+        ({c.omega for c in cycles}, least.omega, others),
+        ({least.omega}, None, ()),
+        ({least.omega}, least.omega, others),
+        ({c.omega for c in cycles[-1:]}, cycles[-1].omega, least.members),
+    ]
+    for minima, triv, members in configs:
+        for budget in (1, 2, 3, 17, 256, 257, 2000):
+            for lo, hi in ((1, 400), (250, 600), (10**6 + 1, 10**6 + 300)):
+                _kernels_agree(t, lo, hi, minima, budget, triv, members)
+
+
+@given(
+    st.sampled_from(ORACLE_MAPS),
+    st.one_of(st.integers(1, 50), st.integers(10**6, 10**12)),
+    st.integers(1, 400),
+    st.integers(1, 2000),
+    st.integers(0, 2**12 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_stopping_times_match_plain_loop_random(t, lo, length, budget, pick):
+    # random minima, members and triv drawn from the map's cycles (the bits
+    # of pick); triv may also be a member, a value off every cycle, or None
+    cycles = _oracle_cycles(t)
+    minima = {c.omega for i, c in enumerate(cycles) if pick >> i & 1} or {cycles[0].omega}
+    members = [m for i, c in enumerate(cycles) if pick >> (i + 6) & 1 for m in c.members]
+    triv = (None, min(minima), max(minima), *members[:1], 3)[pick % 5] if members else min(minima)
+    _kernels_agree(t, lo, lo + length - 1, minima, budget, triv, members)
+
+
+def test_big_d_column_walks_each_orbit_once(monkeypatch):
+    # (257,258,256)+ orbits climb for about d steps before they drop below
+    # their seed; each successful walk resolves the orbit values it passes in
+    # range, so 1..1e4 take under 100k steps (about 2.4M when each walk
+    # resolved only its seed) and the record is that of the plain loop
+    monkeypatch.setattr(dynamics, "make_pq", lambda p, q: _counting(make_pq(p, q)))
+    _CountingInt.steps = 0
+    rec = dynamics._sigma_map_scan((8, 0, 10**4, 10**6))
+    assert _CountingInt.steps < 100_000
+    monkeypatch.setattr(dynamics, "make_pq", make_pq)
+    monkeypatch.setattr(dynamics, "_stopping_times", _stopping_times_plain)
+    assert rec == dynamics._sigma_map_scan((8, 0, 10**4, 10**6))
 
 
 # ---------------------------------------------------------------------------
