@@ -355,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("table", help="stopping-time records per p with reference comparison")
+    common(sp, triplet=False)
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--n-max", type=exact_int, required=True)
     sp.add_argument("--budget", type=exact_int, default=DEFAULT_BUDGET)
     sp.add_argument("--workers", type=int, default=default_workers())
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", help="write output to PATH instead of stdout")
     sp.set_defaults(fn=cmd_table)
 
     sp = sub.add_parser("cycles", help="discover cycles from every seed up to a bound")

@@ -16,8 +16,9 @@ Descent mode takes the first k steps of most seeds from a table over
 r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
 paper's Theorem 3.1: T^j(a*d^k + r) = alpha^s_j(r) * a * d^(k-j) + T^j(r) for
 j <= k.  Seeds below the table's threshold on a, in a row of d^k that reaches
-down to max(minima), or scanned with budget <= k start at step 0 instead.
-Either way the report and journal bytes are the same.
+down to max(minima), or scanned with budget <= k start at step 0 instead, and
+so does every seed of a block with k < 2: a table of depth 1 settles only
+d | n.  Either way the report and journal bytes are the same.
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ def trajectory(t: Triplet, n: int, stop=None, budget: int = DEFAULT_BUDGET) -> T
     """Record the orbit of n until a stop condition fires.
 
     stop may be a set of attractor minima, the string "descent" (stop at the
-    first value below n), or None (budget only).  Budget exhaustion is a
-    terminal state, not an error.
+    first value below n, which needs n >= 2), or None (budget only).  Budget
+    exhaustion is a terminal state, not an error.
     """
-    _need_at_least("n", n, 1)
+    descent = stop == "descent"
+    _need_at_least("n", n, 2 if descent else 1)
     _need_at_least("budget", budget, 1)
     check_total(t)
-    descent = stop == "descent"
     minima = None if (stop is None or descent) else frozenset(stop)
     _need_at_least("minima", min(minima or {1}), 1)
 
@@ -116,8 +117,7 @@ def total_stopping_time(t: Triplet, n: int, minima, budget: int = DEFAULT_BUDGET
 
 def descent_time(t: Triplet, n: int, budget: int = DEFAULT_BUDGET) -> int | None:
     """Smallest k >= 1 with the k-th iterate below n, else None."""
-    if n < 2:
-        raise ValueError(f"descent is undefined for n={n}; need n >= 2")
+    _need_at_least("n", n, 2)
     v, k = n, 0
     while k < budget:
         v = step(t, v)
@@ -268,15 +268,19 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     enters the minima; n = 1 and minima members are base cases.  In a row of
     the table with a >= amin and seeds above max(minima), no orbit value at or
     above n is a minimum: a settled class counts at its jstar, a survivor
-    starts depth steps in.  Other rows start every seed at (n, 0).
+    starts depth steps in.  Other rows start every seed at (n, 0).  A seed
+    still walking at step _TORTOISE_AT goes on under Brent's test as in
+    detect_cycle, and fails once its orbit closes a cycle that has no value
+    below n and no minimum.
     """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
     m, b = _step_form(d, beta, kappa)
     top = max(minima, default=1)
+    lim = min(budget, _TORTOISE_AT)
     depth = 0
     while d ** (depth + 1) <= min(_TABLE_CLASSES, bend - bstart + 1):
         depth += 1
-    table = _descent_table(d, alpha, beta, kappa, depth) if 0 < depth < budget else None
+    table = _descent_table(d, alpha, beta, kappa, depth) if 1 < depth < budget else None
     size = d**depth if table else bend + 1  # without a table the block is one row
     verified, failures, best = 0, [], (0, 0)  # best: (steps, n)
     for a in range(bstart // size, bend // size + 1):
@@ -300,15 +304,27 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
             if low and (n == 1 or n in minima):
                 verified += 1
                 continue
-            while k < budget:
+            while k < lim:
                 r = v % m
                 v = (alpha * v + b * r) // d if r else v // d
                 k += 1
                 if v < n or low and v in minima:
                     break
-            else:
-                failures.append(n)
-                continue
+            else:  # the tortoise goes down at steps lim, 2*lim, 4*lim, ...
+                tortoise, move = v, 2 * k
+                while k < budget:
+                    r = v % m
+                    v = (alpha * v + b * r) // d if r else v // d
+                    k += 1
+                    if v < n or low and v in minima:
+                        break
+                    if v == tortoise:  # the orbit repeats from here and never descends
+                        k = budget
+                    elif k == move:
+                        tortoise, move = v, 2 * k
+                else:
+                    failures.append(n)
+                    continue
             verified += 1
             if k > best[0]:
                 best = (k, n)
@@ -473,11 +489,13 @@ def _run_journaled(
     belongs to.  With a checkpoint path, records journaled by an earlier run
     of the same scan are reused, and each new record is appended and flushed
     as soon as it exists.  A non-empty journal must start with a scan_header
-    line holding header's fields, and every complete record of a job must
-    pass well_formed, else ValueError before any job runs; torn record lines
-    are skipped (their jobs rerun) and a torn last line is sealed.
+    line of schema gcollatz.checkpoint/1 holding header's fields, and every
+    complete record of a job must pass well_formed, else ValueError before any
+    job runs; torn record lines are skipped (their jobs rerun) and a torn last
+    line is sealed.
     """
     results = {}
+    header = {"type": "scan_header", "schema": "gcollatz.checkpoint/1", **header}
     opening = json.dumps(header, sort_keys=True) + "\n"
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint, "rb") as fh:
@@ -559,8 +577,6 @@ def verify_range(
     check_total(t)
 
     header = {
-        "type": "scan_header",
-        "schema": "gcollatz.checkpoint/1",
         "triplet": t.as_dict(),
         "range": [n_start, n_end],
         "mode": mode,
@@ -573,15 +589,9 @@ def verify_range(
         _certify_block, jobs, "block_start", header, checkpoint, workers, _block_record_ok
     )
 
-    verified = 0
-    failures: list[int] = []
-    best = None
-    for b0 in sorted(results):
-        rec = results[b0]
-        verified += rec["verified"]
-        failures.extend(rec["failures"])
-        if rec["max_sigma"] is not None and (best is None or rec["max_sigma"][0] > best[0]):
-            best = rec["max_sigma"]
+    recs = [results[b0] for b0 in sorted(results)]
+    tops = [r["max_sigma"] for r in recs if r["max_sigma"] is not None]
+    best = max(tops, key=lambda s: s[0], default=None)  # on a tie, the earliest block's
     return ScanReport(
         triplet=t,
         n_start=n_start,
@@ -590,8 +600,8 @@ def verify_range(
         minima=minima,
         budget=budget,
         block_size=block_size,
-        verified=verified,
-        failures=tuple(sorted(failures)),
+        verified=sum(r["verified"] for r in recs),
+        failures=tuple(sorted(n for r in recs for n in r["failures"])),
         max_sigma=(best[1], best[0]) if best else None,
         wall_time=time.perf_counter() - t0,
     )
@@ -610,7 +620,6 @@ class MapSigmaScan:
     trivial stopping time and are counted in trivial_unreachable.
     """
 
-    p: int
     q: int
     max_sigma: int
     argmax_n: int
@@ -629,7 +638,7 @@ def _sigma_map_scan(args) -> dict:
     its trapped bit is clear, and there is none once it is set.
     """
     p, q, n_max, budget = args
-    minima = frozenset(attractor_minima(p, q))
+    minima = attractor_minima(p, q)
     members = frozenset(m for c in exceptional_registry().get((p, q), ()) for m in c.members)
     sigma = array("I", [_FAILED]) * (n_max + 1)
     trapped = bytearray(n_max + 1)
@@ -664,11 +673,8 @@ class MaxStoppingScan:
     unknown: int
 
     def to_dict(self) -> dict:
-        """Every field, in field order; per_map entries drop the p they share."""
-        d = {"schema": "gcollatz.max_stopping_scan/1", **asdict(self)}
-        for m in d["per_map"]:
-            del m["p"]
-        return d
+        """Every field, in field order."""
+        return {"schema": "gcollatz.max_stopping_scan/1", **asdict(self)}
 
 
 def max_stopping_scan(
@@ -690,8 +696,6 @@ def max_stopping_scan(
     _need_at_least("budget", budget, 1)
     _need_at_least("workers", workers, 1)
     header = {
-        "type": "scan_header",
-        "schema": "gcollatz.checkpoint/1",
         "kind": "max_stopping_scan",
         "p": p,
         "n_max": n_max,
@@ -701,27 +705,18 @@ def max_stopping_scan(
     by_q = _run_journaled(_sigma_map_scan, jobs, "q", header, checkpoint, workers, _map_record_ok)
     fields = MapSigmaScan.__dataclass_fields__
     scans = [MapSigmaScan(**{k: by_q[q][k] for k in fields}) for q in sorted(by_q)]
-
-    def aggregate(key_max, key_arg):
-        best = (-1, 0, 0)  # (sigma, q, n)
-        for m in scans:
-            s = getattr(m, key_max)
-            if s > best[0]:
-                best = (s, m.q, getattr(m, key_arg))
-        return best
-
-    a = aggregate("max_sigma", "argmax_n")
-    b = aggregate("max_sigma_trivial", "argmax_n_trivial")
+    a = max(scans, key=lambda m: m.max_sigma)  # on a tie, the lowest q
+    b = max(scans, key=lambda m: m.max_sigma_trivial)
     return MaxStoppingScan(
         p=p,
         n_max=n_max,
         budget=budget,
         per_map=tuple(scans),
-        max_sigma=a[0],
-        q_at_max=a[1],
-        n_at_max=a[2],
-        max_sigma_trivial=b[0],
-        q_at_max_trivial=b[1],
-        n_at_max_trivial=b[2],
+        max_sigma=a.max_sigma,
+        q_at_max=a.q,
+        n_at_max=a.argmax_n,
+        max_sigma_trivial=b.max_sigma_trivial,
+        q_at_max_trivial=b.q,
+        n_at_max_trivial=b.argmax_n_trivial,
         unknown=sum(m.unknown for m in scans),
     )

@@ -122,10 +122,9 @@ def trivial_cycle_general(dprime: int, q: int) -> Cycle:
 def trivial_cycle_pq(p: int, q: int) -> Cycle:
     """Trivial cycle of the (p, q) member: 2^(p-q) doubling up to 2^p, then
     multiples of 2^p up to (2^(p-q)+1)*2^p; length 2^(p-q) + q + 1."""
-    if q < 0 or p < q:
-        raise DomainError("q_gt_p", f"need 0 <= q <= p, got p={p}, q={q}")
+    t = make_pq(p, q)
     c = trivial_cycle_general(2 ** (p - q) + 1, q)
-    assert c.triplet == make_pq(p, q)
+    assert c.triplet == t
     return c
 
 
@@ -177,8 +176,7 @@ def registry_diagnostics() -> list[str]:
 
 def attractor_minima(p: int, q: int) -> frozenset[int]:
     """Cycle minima of the (p, q) member without materializing the trivial cycle."""
-    if q < 0 or p < q:
-        raise DomainError("q_gt_p", f"need 0 <= q <= p, got p={p}, q={q}")
+    make_pq(p, q)  # refuses q outside 0..p
     seeds = {2 ** (p - q)}
     for c in exceptional_registry().get((p, q), ()):
         seeds.add(c.omega)

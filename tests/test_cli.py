@@ -240,6 +240,7 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
         (("verify", "--p", "1", "--q", "0", "--to", "50", "--mode", "attractor", "--minima", "0"),
          "minima >= 1, got 0"),
         (("traj", "--p", "1", "--q", "0", "--n", "5", "--stop", "0"), "minima >= 1, got 0"),
+        (("traj", "--p", "3", "--q", "1", "--n", "1", "--descend"), "n >= 2, got 1"),
         (("cycles", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
         (("cycles", "--p", "3", "--q", "1", "--to", "-5"), "n_max >= 1, got -5"),
         (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "0"), "trials >= 1, got 0"),
@@ -247,8 +248,8 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
     ],
     ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "verify-workers-0",
          "verify-workers-neg", "table-workers-0", "table-workers-neg", "verify-minima-neg",
-         "verify-attractor-minima-0", "traj-stop-0", "cycles-budget", "cycles-to-neg",
-         "identities-trials-0", "identities-trials-neg"],
+         "verify-attractor-minima-0", "traj-stop-0", "traj-descend-n-1", "cycles-budget",
+         "cycles-to-neg", "identities-trials-0", "identities-trials-neg"],
 )
 def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
     code = main(list(argv))
@@ -414,8 +415,210 @@ def test_graph_deterministic(capsys):
 # exact report bytes
 # ---------------------------------------------------------------------------
 
-# stdout of the CSV writer, the table report and the graph JSON, byte for byte
+# stdout of every subcommand and format, byte for byte
 GOLDEN_STDOUT = {
+    "validate-family": (
+        "validate --p 3 --q 1".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "attractor_minima": [
+    4
+  ],
+  "decomposition": {
+    "lambda0": 2,
+    "nu0": 1
+  },
+  "family": {
+    "p": 3,
+    "q": 1
+  },
+  "label": "(10,12,8)+",
+  "schema": "gcollatz.validate/1",
+  "triplet": {
+    "alpha": 12,
+    "beta": 8,
+    "d": 10,
+    "kappa0": 1
+  },
+  "valid": true
+}
+""",
+    ),
+    "validate-invalid": (
+        "validate --p 1 --q 3".split(),
+        1,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "error": {
+    "code": "q_gt_p",
+    "message": "need 0 <= q <= p, got p=1, q=3"
+  },
+  "params": {
+    "kappa0": 1,
+    "p": 1,
+    "q": 3
+  },
+  "schema": "gcollatz.validate/1",
+  "valid": false
+}
+""",
+    ),
+    "traj-text": (
+        "traj --p 3 --q 1 --n 75".split(),
+        0,
+        """\
+75
+94
+116
+144
+176
+216
+264
+320
+32
+40
+4
+# terminal=hit_attractor steps=10
+""",
+    ),
+    "traj-json": (
+        "traj --p 3 --q 1 --n 75 --descend --format json".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "label": "(10,12,8)+",
+  "schema": "gcollatz.trajectory/1",
+  "start": 75,
+  "stop": "descent",
+  "stopped_at": 8,
+  "terminal": "descended",
+  "triplet": {
+    "alpha": 12,
+    "beta": 8,
+    "d": 10,
+    "kappa0": 1
+  },
+  "values": [
+    75,
+    94,
+    116,
+    144,
+    176,
+    216,
+    264,
+    320,
+    32
+  ]
+}
+""",
+    ),
+    "cycles": (
+        "cycles --p 0 --q 0 --to 10".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "budget": 1000000,
+  "cycles": [
+    {
+      "length": 2,
+      "members": [
+        1,
+        2
+      ],
+      "omega": 1
+    }
+  ],
+  "exhausted": [],
+  "label": "(2,3,1)+",
+  "n_max": 10,
+  "schema": "gcollatz.cycles/1",
+  "triplet": {
+    "alpha": 3,
+    "beta": 1,
+    "d": 2,
+    "kappa0": 1
+  }
+}
+""",
+    ),
+    "identities-31": (
+        "identities --p 3 --q 1 --theorem 31 --trials 5".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "label": "(10,12,8)+",
+  "mismatches": [],
+  "pass": true,
+  "schema": "gcollatz.identity_report/1",
+  "seed": 0,
+  "theorem": "31",
+  "trials": 5,
+  "triplet": {
+    "alpha": 12,
+    "beta": 8,
+    "d": 10,
+    "kappa0": 1
+  }
+}
+""",
+    ),
+    "graph-dot": (
+        "graph --d 3 --alpha 4 --beta 1 --kappa -1 --root 1 --depth 2".split(),
+        0,
+        """\
+digraph inverse_orbit {
+  1;
+  2;
+  3;
+  9;
+  1 -> 2;
+  2 -> 3;
+  3 -> 1;
+  9 -> 3;
+}
+""",
+    ),
+    "verify-json": (
+        "verify --p 8 --q 3 --to 3e3".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "block_size": 65536,
+  "budget": 1000000,
+  "cursor": 3001,
+  "failures": [],
+  "label": "(264,272,256)+",
+  "max_sigma": {
+    "n": 3,
+    "steps": 40
+  },
+  "minima": [
+    32
+  ],
+  "mode": "descent",
+  "pass": true,
+  "range": [
+    1,
+    3000
+  ],
+  "schema": "gcollatz.scan_report/1",
+  "triplet": {
+    "alpha": 272,
+    "beta": 256,
+    "d": 264,
+    "kappa0": 1
+  },
+  "verified": 3000
+}
+""",
+    ),
     "verify-csv-pass": (
         "verify --p 3 --q 1 --to 3e3 --format csv".split(),
         0,

@@ -217,10 +217,10 @@ def _counting(t):
     return validate_triplet(_CountingInt(t.d), t.alpha, t.beta, t.kappa0)
 
 
-def _steps_to_fail(t, n, minima, budget):
+def _steps_to_fail(t, n, minima, budget, mode="attractor"):
     t = _counting(t)
     _CountingInt.steps = 0
-    rec = dynamics._certify_block((t, n, n, "attractor", frozenset(minima), budget))
+    rec = dynamics._certify_block((t, n, n, mode, frozenset(minima), budget))
     assert rec["failures"] == [n]
     return _CountingInt.steps
 
@@ -232,6 +232,15 @@ def test_trapped_seed_exits_at_cycle_closure():
     assert _steps_to_fail(T_TRAPPED, 1305, {4, 5}, 10**6) == 17
     steps = _steps_to_fail(T_TRAPPED, 955, {4, 5}, 10**6)
     assert dynamics._TORTOISE_AT < steps < 2 * dynamics._TORTOISE_AT
+
+
+def test_descent_seed_in_an_unlisted_cycle_exits_at_cycle_closure():
+    # neither seed ever falls below itself, and a descent walk does not stop
+    # when it returns to its seed: both fail once the orbit meets the
+    # tortoise put down at step _TORTOISE_AT, not after the budget
+    for n in (1305, 955):
+        steps = _steps_to_fail(T_TRAPPED, n, {4, 5}, 10**6, mode="descent")
+        assert dynamics._TORTOISE_AT < steps < 2 * dynamics._TORTOISE_AT
 
 
 @functools.cache
@@ -368,6 +377,54 @@ def test_journal_record_bytes(tmp_path):
     lines = ck.read_text().splitlines()
     assert json.loads(lines[0])["type"] == "scan_header"
     assert lines[1:] == TABLE_JOURNAL_RECORDS
+
+
+def _rewrite_journal(ck, *records):
+    """Keep the journal's header line and replace its records."""
+    header = ck.read_text().splitlines()[0]
+    ck.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+
+
+def test_verify_range_record_tie_goes_to_the_first_block(tmp_path):
+    # hand-written records, which the scan reads instead of computing them:
+    # blocks 11 and 1 share the most steps and block 1's seed holds the
+    # record, whatever the journal's order; failures come out sorted
+    ck = tmp_path / "scan.ndjson"
+    kw = dict(mode="descent", minima={4}, block_size=10, checkpoint=str(ck))
+    verify_range(T_MOD10, 1, 20, **kw)
+    block = {"type": "block", "status": "pass", "verified": 10, "failures": []}
+    _rewrite_journal(
+        ck,
+        {**block, "block_start": 11, "block_end": 20, "max_sigma": [5, 13], "argmax_n": 13},
+        {**block, "block_start": 1, "block_end": 10, "max_sigma": [5, 7], "argmax_n": 7,
+         "status": "fail", "verified": 8, "failures": [9, 2]},
+    )
+    rep = verify_range(T_MOD10, 1, 20, **kw)
+    assert rep.max_sigma == (7, 5)
+    assert rep.failures == (2, 9) and rep.verified == 18
+
+
+def _column(q, sigma, n, unknown=0):
+    return {"type": "map", "p": 1, "q": q, "max_sigma": sigma, "argmax_n": n,
+            "max_sigma_trivial": sigma, "argmax_n_trivial": n, "unknown": unknown,
+            "trivial_unreachable": 0}
+
+
+def test_max_stopping_scan_record_tie_goes_to_the_lowest_q(tmp_path):
+    # hand-written column records: q 1 and q 0 share the largest time and q 0
+    # holds the record; with no stopping time in any column (every seed
+    # unknown) the record is (-1, q 0, n 0)
+    ck = tmp_path / "table.ndjson"
+    max_stopping_scan(1, 20, checkpoint=str(ck))
+    _rewrite_journal(ck, _column(1, 9, 3), _column(0, 9, 7))
+    scan = max_stopping_scan(1, 20, checkpoint=str(ck))
+    assert (scan.max_sigma, scan.q_at_max, scan.n_at_max) == (9, 0, 7)
+    assert (scan.max_sigma_trivial, scan.q_at_max_trivial, scan.n_at_max_trivial) == (9, 0, 7)
+    _rewrite_journal(ck, _column(1, -1, 0, 20), _column(0, -1, 0, 20))
+    scan = max_stopping_scan(1, 20, checkpoint=str(ck))
+    assert (scan.max_sigma, scan.q_at_max, scan.n_at_max) == (-1, 0, 0)
+    assert (scan.max_sigma_trivial, scan.q_at_max_trivial, scan.n_at_max_trivial) == (-1, 0, 0)
+    assert scan.unknown == 40
 
 
 def test_checkpoint_resumes_journal_with_extra_header_field(tmp_path):
@@ -990,6 +1047,16 @@ def test_descent_kernel_reads_the_table_from_its_first_row(monkeypatch):
 def test_descent_table_matches_plain_loop_random(which, n_start, length, block_size, budget):
     t, minima = SIEVE_MAPS[which]
     _assert_descent_matches(t, minima, n_start, n_start + length - 1, block_size, budget)
+
+
+@pytest.mark.parametrize("tortoise_at", [1, 3])
+def test_descent_tail_matches_plain_loop(monkeypatch, tortoise_at):
+    # with the first tortoise down at step 1 or 3, most seeds finish under
+    # Brent's test, which must descend, fail and count steps as the plain loop
+    monkeypatch.setattr(dynamics, "_TORTOISE_AT", tortoise_at)
+    for t, minima in SIEVE_MAPS[::4] + SIEVE_MAPS[-4:]:
+        _assert_descent_matches(t, minima, 1, 3000, 1000, 10**4)
+        _assert_descent_matches(t, minima, 10**12 + 17, 10**12 + 3016, 3000, 10**4)
 
 
 # a large beta keeps small seeds from descending at their class's step, so
