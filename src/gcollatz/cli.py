@@ -97,6 +97,12 @@ def _resolve_triplet(args) -> Triplet:
     return validate_triplet(args.d, args.alpha, args.beta, args.kappa)
 
 
+def _family_minima(t: Triplet) -> frozenset[int] | None:
+    """Attractor minima of a two-power family member, else None."""
+    pq = identify_pq(t)
+    return None if pq is None else attractor_minima(*pq)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -169,8 +175,7 @@ def cmd_traj(args) -> int:
     elif args.stop is not None:
         stop = args.stop
     else:
-        pq = identify_pq(t)
-        stop = attractor_minima(*pq) if pq is not None else None
+        stop = _family_minima(t)
     tr = trajectory(t, args.n, stop=stop, budget=args.budget)
     _header(f"triplet={t.label} n={args.n} budget={args.budget}")
     if args.format == "json":
@@ -197,10 +202,8 @@ def cmd_verify(args) -> int:
     t = _resolve_triplet(args)
     minima = args.minima
     if minima is None:
-        pq = identify_pq(t)
-        if pq is not None:
-            minima = attractor_minima(*pq)
-        elif args.mode == "attractor":
+        minima = _family_minima(t)
+        if minima is None and args.mode == "attractor":
             raise SystemExit2("attractor mode needs --minima for a non-family triplet")
     _header(
         f"triplet={t.label} range=[{args.start},{args.to}] mode={args.mode} "

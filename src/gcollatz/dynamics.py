@@ -33,11 +33,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable
 
 from gcollatz.core import Triplet, check_total, step
-from gcollatz.family import Cycle, attractor_minima, canonical_cycle, exceptional_registry, make_pq
+from gcollatz.family import Cycle, attractor_minima, cycle_through, exceptional_registry, make_pq
 
 DEFAULT_BUDGET = 10**6
 DEFAULT_BLOCK = 2**16
@@ -69,36 +69,52 @@ def _need_at_least(name: str, value: int, least: int) -> None:
 class Trajectory:
     start: int
     values: tuple[int, ...]
-    terminal: str  # "hit_attractor" | "descended" | "budget_exhausted"
-    stopped_at: int | None  # step index for the two stopping terminals
+    terminal: str  # "hit_attractor" | "descended" | "cycle" | "budget_exhausted"
+    stopped_at: int | None  # step index, None when the budget ran out
+
+
+def _walk(t: Triplet, n: int, minima: frozenset, descent: bool, budget: int) -> tuple[str, int, int]:
+    """Walk the orbit of n and return (terminal, k, v), v the k-th iterate.
+
+    The walk ends at the first of: v in minima ("hit_attractor"); with
+    descent, v < n ("descended"); v equal to Brent's tortoise ("cycle"; R. P.
+    Brent, BIT 20, 1980); k = budget ("budget_exhausted").  The tortoise goes
+    down at steps 0, 1, 3, 7, ... and is compared at every step before it
+    moves.  No orbit value is kept.
+    """
+    if n in minima:
+        return "hit_attractor", 0, n
+    v = tortoise = n
+    move = 1
+    for k in range(1, budget + 1):
+        v = step(t, v)
+        if v in minima:
+            return "hit_attractor", k, v
+        if descent and v < n:
+            return "descended", k, v
+        if v == tortoise:
+            return "cycle", k, v
+        if k == move:
+            tortoise, move = v, 2 * k + 1
+    return "budget_exhausted", budget, v
 
 
 def trajectory(t: Triplet, n: int, stop=None, budget: int = DEFAULT_BUDGET) -> Trajectory:
-    """Record the orbit of n until a stop condition fires.
+    """Record the orbit of n until a stop condition fires or a cycle closes.
 
     stop may be a set of attractor minima, the string "descent" (stop at the
-    first value below n, which needs n >= 2), or None (budget only).  Budget
-    exhaustion is a terminal state, not an error.
+    first value below n, which needs n >= 2), or None (cycle or budget only).
+    A closed cycle and budget exhaustion are terminal states, not errors.
     """
     descent = stop == "descent"
     _need_at_least("n", n, 2 if descent else 1)
     _need_at_least("budget", budget, 1)
     check_total(t)
-    minima = None if (stop is None or descent) else frozenset(stop)
-    _need_at_least("minima", min(minima or {1}), 1)
-
-    values = [n]
-    if minima is not None and n in minima:
-        return Trajectory(n, (n,), "hit_attractor", 0)
-    v = n
-    for k in range(1, budget + 1):
-        v = step(t, v)
-        values.append(v)
-        if minima is not None and v in minima:
-            return Trajectory(n, tuple(values), "hit_attractor", k)
-        if descent and v < n:
-            return Trajectory(n, tuple(values), "descended", k)
-    return Trajectory(n, tuple(values), "budget_exhausted", None)
+    minima = frozenset() if stop is None or descent else frozenset(stop)
+    _need_at_least("minima", min(minima, default=1), 1)
+    terminal, k, _ = _walk(t, n, minima, descent, budget)
+    values = tuple(accumulate(range(k), lambda v, _: step(t, v), initial=n))
+    return Trajectory(n, values, terminal, None if terminal == "budget_exhausted" else k)
 
 
 def total_stopping_time(t: Triplet, n: int, minima, budget: int = DEFAULT_BUDGET) -> int | None:
@@ -106,50 +122,23 @@ def total_stopping_time(t: Triplet, n: int, minima, budget: int = DEFAULT_BUDGET
     minima = frozenset(minima)
     if not minima:
         raise ValueError("minima must be nonempty")
-    v, k = n, 0
-    while v not in minima:
-        if k >= budget:
-            return None
-        v = step(t, v)
-        k += 1
-    return k
+    terminal, k, _ = _walk(t, n, minima, False, budget)
+    return k if terminal == "hit_attractor" else None
 
 
 def descent_time(t: Triplet, n: int, budget: int = DEFAULT_BUDGET) -> int | None:
     """Smallest k >= 1 with the k-th iterate below n, else None."""
     _need_at_least("n", n, 2)
-    v, k = n, 0
-    while k < budget:
-        v = step(t, v)
-        k += 1
-        if v < n:
-            return k
-    return None
+    terminal, k, _ = _walk(t, n, frozenset(), True, budget)
+    return k if terminal == "descended" else None
 
 
 def detect_cycle(t: Triplet, n: int, budget: int = DEFAULT_BUDGET) -> Cycle | None:
     """Find the cycle eventually entered by the orbit of n (Brent's method,
     constant memory).  Returns None when the step budget is exhausted."""
-    power = lam = 1
-    tortoise = n
-    hare = step(t, n)
-    used = 1
-    while tortoise != hare:
-        if used >= budget:
-            return None
-        if power == lam:
-            tortoise = hare
-            power <<= 1
-            lam = 0
-        hare = step(t, hare)
-        used += 1
-        lam += 1
-    members = [tortoise]
-    v = step(t, tortoise)
-    while v != tortoise:
-        members.append(v)
-        v = step(t, v)
-    return canonical_cycle(t, members)
+    _need_at_least("budget", budget, 1)
+    terminal, _, v = _walk(t, n, frozenset(), False, budget)
+    return cycle_through(t, v) if terminal == "cycle" else None
 
 
 @dataclass(frozen=True)
@@ -230,7 +219,7 @@ def _step_form(d: int, beta: int, kappa: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=4)
 def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
-    """Descent table over r mod d^depth, or None if a value needs over 64 bits.
+    """Descent table over r mod d^depth.
 
     n = a*d^depth + r descends at step j <= depth iff a*c_j > T^j(r) - r, with
     c_j = d^(depth-j) * (d^j - alpha^s_j(r)), never 0 as d does not divide
@@ -240,26 +229,23 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
     """
     m, b = _step_form(d, beta, kappa)
     jstar = bytearray(d**depth)
-    survivors, mult, tail = array("H"), array("q"), array("q")
+    survivors, mult, tail = [], [], []
     amin = 0
-    try:
-        for r in range(d**depth):
-            v, s = r, 0
-            for j in range(1, depth + 1):
-                x = v % m
-                v, s = ((alpha * v + b * x) // d, s + 1) if x else (v // d, s)
-                c = d ** (depth - j) * (d**j - alpha**s)
-                if c > 0:  # descends here once a*c > v - r
-                    jstar[r] = j
-                    amin = max(amin, (v - r) // c + 1)
-                    break
-                amin = max(amin, -((r - v) // c))  # no descent yet while a*c <= v - r
-            else:
-                survivors.append(r)
-                mult.append(alpha**s)
-                tail.append(v)
-    except OverflowError:
-        return None
+    for r in range(d**depth):
+        v, s = r, 0
+        for j in range(1, depth + 1):
+            x = v % m
+            v, s = ((alpha * v + b * x) // d, s + 1) if x else (v // d, s)
+            c = d ** (depth - j) * (d**j - alpha**s)
+            if c > 0:  # descends here once a*c > v - r
+                jstar[r] = j
+                amin = max(amin, (v - r) // c + 1)
+                break
+            amin = max(amin, -((r - v) // c))  # no descent yet while a*c <= v - r
+        else:
+            survivors.append(r)
+            mult.append(alpha**s)
+            tail.append(v)
     return jstar, survivors, mult, tail, amin
 
 
@@ -331,17 +317,18 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     return verified, failures, best
 
 
-def _stopping_times(t, lo, hi, minima, budget, sigma, trapped, triv=None, members=frozenset()):
+def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     """Stopping times into minima of the seeds lo..hi, walked in ascending order.
 
-    sigma and trapped are the memo, indexed by the seed (a dict memo must read
-    a missing key as _FAILED and 0).  sigma[n] is n's stopping time, or
-    _FAILED when the budget is spent or the orbit is trapped in a cycle with
-    no minimum: it returns to n, or from step _TORTOISE_AT on meets Brent's
-    tortoise (as in detect_cycle), which rides in the set the loop probes
-    anyway.  trapped[n] is set when the orbit meets members short of a
-    minimum, ends at a minimum other than triv, returns to n, or reaches a
-    seed whose bit is set.  A walk ends at an orbit value in [lo, n) with
+    sigma and trapped are the memo, indexed by the seed: a pair of arrays from
+    0 when they are at most twice the range's length, else a pair of
+    defaultdicts that read a missing key as _FAILED and 0.  sigma[n] is n's
+    stopping time, or _FAILED when the budget is spent or the orbit is trapped
+    in a cycle with no minimum: it returns to n, or from step _TORTOISE_AT on
+    meets Brent's tortoise (as in detect_cycle), which rides in the set the
+    loop probes anyway.  trapped[n] is set when the orbit meets members short
+    of a minimum, ends at a minimum other than triv, returns to n, or reaches
+    a seed whose bit is set.  A walk ends at an orbit value in [lo, n) with
     that seed's entries, and at a resolved one in (n, hi] if the sum of the
     two times is within the budget.
 
@@ -352,10 +339,14 @@ def _stopping_times(t, lo, hi, minima, budget, sigma, trapped, triv=None, member
     same, and v is not walked.  Longer successes (through the memo below n)
     and failures are not propagated: a walk from v gets the whole budget
     again and might end otherwise, so _FAILED above n means "not yet known".
-    Returns (failures, best, best_trivial): the first (sigma, n) with the
-    largest sigma over all seeds and over those with a clear trapped bit, or
-    (-1, 0).
+    Returns (failures, best, best_trivial, (sigma, trapped)): best and
+    best_trivial are the first (sigma, n) with the largest sigma over all
+    seeds and over those with a clear trapped bit, or (-1, 0).
     """
+    if lo <= hi - lo + 1:
+        sigma, trapped = array("I", [_FAILED]) * (hi + 1), bytearray(hi + 1)
+    else:
+        sigma, trapped = defaultdict(lambda: _FAILED), defaultdict(int)
     d, alpha = t.d, t.alpha
     m, b = _step_form(d, t.beta, t.kappa0)
     probe = minima | members
@@ -423,24 +414,19 @@ def _stopping_times(t, lo, hi, minima, budget, sigma, trapped, triv=None, member
                 top, top_n = s, n
             if not x and s > top_t:
                 top_t, top_t_n = s, n
-    return failures, (top, top_n), (top_t, top_t_n)
+    return failures, (top, top_n), (top_t, top_t_n), (sigma, trapped)
 
 
 def _certify_block(args) -> dict:
     """Certify every seed of one block and return its journal record; runs in
     worker processes.  Descent mode is _descent_seeds; attractor mode is
-    _stopping_times, whose memo is a pair of arrays from 0 when they are at
-    most twice the block's length, else a pair of defaultdicts."""
+    _stopping_times."""
     t, bstart, bend, mode, minima, budget = args
     minima = frozenset(minima)
     if mode == "descent":
         verified, failures, best = _descent_seeds(t, bstart, bend, minima, budget)
     else:
-        if bstart <= bend - bstart + 1:
-            sigma, trapped = array("I", [_FAILED]) * (bend + 1), bytearray(bend + 1)
-        else:
-            sigma, trapped = defaultdict(lambda: _FAILED), defaultdict(int)
-        failures, best, _ = _stopping_times(t, bstart, bend, minima, budget, sigma, trapped)
+        failures, best, _, _ = _stopping_times(t, bstart, bend, minima, budget)
         verified = bend - bstart + 1 - len(failures)
     return {
         "type": "block",
@@ -640,10 +626,8 @@ def _sigma_map_scan(args) -> dict:
     p, q, n_max, budget = args
     minima = attractor_minima(p, q)
     members = frozenset(m for c in exceptional_registry().get((p, q), ()) for m in c.members)
-    sigma = array("I", [_FAILED]) * (n_max + 1)
-    trapped = bytearray(n_max + 1)
-    failures, best, best_trivial = _stopping_times(
-        make_pq(p, q), 1, n_max, minima, budget, sigma, trapped, 2 ** (p - q), members
+    failures, best, best_trivial, (_, trapped) = _stopping_times(
+        make_pq(p, q), 1, n_max, minima, budget, 2 ** (p - q), members
     )
     return {
         "type": "map",

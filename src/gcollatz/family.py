@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
+from operator import ne
 
 from gcollatz.core import DomainError, Triplet, step, validate_triplet
 
@@ -48,13 +50,6 @@ class AttractorSet:
         return frozenset(c.omega for c in self.cycles)
 
 
-def canonical_cycle(t: Triplet, members_in_orbit_order: list[int]) -> Cycle:
-    """Rotate an orbit-ordered member list so the minimum comes first."""
-    i = members_in_orbit_order.index(min(members_in_orbit_order))
-    rotated = tuple(members_in_orbit_order[i:] + members_in_orbit_order[:i])
-    return Cycle(t, rotated)
-
-
 def make_pq(p: int, q: int) -> Triplet:
     """Family member (2^p + 2^q, 2^p + 2^(q+1), 2^p)+ for 0 <= q <= p."""
     if q < 0 or p < q:
@@ -79,22 +74,33 @@ def identify_pq(t: Triplet) -> tuple[int, int] | None:
     return p, q
 
 
-def _verified_cycle(t: Triplet, analytic_members) -> Cycle:
-    """Materialize an analytic member sequence, checking it against iteration."""
-    it = iter(analytic_members)
-    first = next(it)
-    members = [first]
-    v = first
-    for expected in it:
-        v = step(t, v)
-        if v != expected:
-            raise VerificationError(
-                f"{t.label}: iteration gives {v} where the analytic cycle has {expected}"
-            )
+def cycle_through(t: Triplet, member: int, length: int | None = None) -> Cycle:
+    """The cycle through member, walked from member back to itself.
+
+    With length, an orbit that has not returned after length steps, or
+    returns after fewer, raises VerificationError.
+    """
+    members = [member]
+    v = step(t, member)
+    while v != member:
+        if len(members) == length:
+            raise VerificationError(f"{t.label}: orbit of {member} did not close within {length} steps")
         members.append(v)
-    if step(t, v) != first:
-        raise VerificationError(f"{t.label}: analytic cycle does not close at {first}")
-    return Cycle(t, tuple(members))
+        v = step(t, v)
+    if length is not None and len(members) != length:
+        raise VerificationError(
+            f"{t.label}: cycle of {member} has length {len(members)}, expected {length}"
+        )
+    i = members.index(min(members))
+    return Cycle(t, tuple(members[i:] + members[:i] if i else members))
+
+
+def _regenerate(t: Triplet, seed: int, length: int) -> Cycle:
+    """The cycle of seed, checked to have the given length and seed as its minimum."""
+    c = cycle_through(t, seed, length)
+    if c.omega != seed:
+        raise VerificationError(f"{t.label}: seed {seed} is not its cycle minimum")
+    return c
 
 
 def trivial_cycle_general(dprime: int, q: int) -> Cycle:
@@ -109,14 +115,11 @@ def trivial_cycle_general(dprime: int, q: int) -> Cycle:
     d = (1 << q) * dprime
     t = validate_triplet(d, d + (1 << q), d - (1 << q))
     beta = t.beta
-
-    def analytic():
-        for i in range(q, 0, -1):
-            yield beta >> i
-        for m in range(1, dprime + 1):
-            yield m * beta
-
-    return _verified_cycle(t, analytic())
+    c = _regenerate(t, beta >> q, q + dprime)
+    analytic = chain((beta >> i for i in range(q, 0, -1)), range(beta, dprime * beta + 1, beta))
+    if any(map(ne, c.members, analytic)):
+        raise VerificationError(f"{t.label}: iteration does not give the analytic trivial cycle")
+    return c
 
 
 def trivial_cycle_pq(p: int, q: int) -> Cycle:
@@ -126,26 +129,6 @@ def trivial_cycle_pq(p: int, q: int) -> Cycle:
     c = trivial_cycle_general(2 ** (p - q) + 1, q)
     assert c.triplet == t
     return c
-
-
-def _regenerate(t: Triplet, seed: int, expected_length: int) -> Cycle:
-    """Iterate from a registry seed until first return; check the length."""
-    members = [seed]
-    v = step(t, seed)
-    while v != seed:
-        members.append(v)
-        if len(members) > expected_length:
-            raise VerificationError(
-                f"{t.label}: orbit of {seed} did not close within {expected_length} steps"
-            )
-        v = step(t, v)
-    if len(members) != expected_length:
-        raise VerificationError(
-            f"{t.label}: cycle of {seed} has length {len(members)}, registry says {expected_length}"
-        )
-    if min(members) != seed:
-        raise VerificationError(f"{t.label}: registry seed {seed} is not its cycle minimum")
-    return Cycle(t, tuple(members))
 
 
 @lru_cache(maxsize=1)

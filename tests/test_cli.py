@@ -283,6 +283,9 @@ def test_traj_refuses_stop_with_descend(capsys):
 def test_traj_and_table_json_schemas(capsys):
     _, out = run(capsys, "traj", "--p", "3", "--q", "1", "--n", "75", "--format", "json")
     schema_validator("trajectory.schema.json").validate(json.loads(out))
+    _, out = run(capsys, "traj", "--p", "3", "--q", "1", "--n", "2", "--descend", "--format", "json")
+    assert json.loads(out)["terminal"] == "cycle"
+    schema_validator("trajectory.schema.json").validate(json.loads(out))
     _, out = run(capsys, "table", "--p-max", "1", "--n-max", "200", "--format", "json")
     schema_validator("table.schema.json").validate(json.loads(out))
 
@@ -514,6 +517,27 @@ GOLDEN_STDOUT = {
     32
   ]
 }
+""",
+    ),
+    "traj-descend-cycle": (
+        "traj --p 3 --q 1 --n 2 --descend".split(),
+        0,
+        """\
+2
+4
+8
+16
+24
+32
+40
+4
+8
+16
+24
+32
+40
+4
+# terminal=cycle steps=13
 """,
     ),
     "cycles": (

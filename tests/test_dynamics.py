@@ -3,7 +3,6 @@
 import functools
 import json
 from array import array
-from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +61,18 @@ def test_trajectory_descent_and_budget_modes():
     assert tr.values == (75, 94, 116, 144)
 
 
+def test_trajectory_ends_when_a_cycle_closes():
+    # 1305 is the least member of a 17-cycle of (12,14,10)+ with no minimum
+    # in {4, 5}, and 2 under (10,12,8)+ enters the cycle through 4 without
+    # falling below 2: both walks end at Brent's test, not after the budget
+    for t, n, stop, k in ((T_TRAPPED, 1305, {4, 5}, 48), (make_pq(3, 1), 2, "descent", 13)):
+        tr = trajectory(t, n, stop=stop)
+        assert (tr.terminal, tr.stopped_at, len(tr.values)) == ("cycle", k, k + 1)
+        assert tr.values[-1] in tr.values[:-1]
+    tr = trajectory(T_CLASSIC, 7)  # with no stop set, a cycle still ends the walk
+    assert (tr.terminal, tr.values[-2:]) == ("cycle", (2, 1))
+
+
 @given(st.integers(1, 10**6))
 @settings(max_examples=80, deadline=None)
 def test_trajectory_values_glue(n):
@@ -73,6 +84,83 @@ def test_trajectory_values_glue(n):
 # ---------------------------------------------------------------------------
 # cycle detection
 # ---------------------------------------------------------------------------
+
+def _detect_cycle_plain(t, n, budget):
+    # Reference for detect_cycle: Brent's loop on its own, with power and
+    # lam counters in place of the walker's tortoise steps 0, 1, 3, 7, ...
+    power = lam = 1
+    tortoise = n
+    hare = step(t, n)
+    used = 1
+    while tortoise != hare:
+        if used >= budget:
+            return None
+        if power == lam:
+            tortoise = hare
+            power <<= 1
+            lam = 0
+        hare = step(t, hare)
+        used += 1
+        lam += 1
+    members = [tortoise]
+    v = step(t, tortoise)
+    while v != tortoise:
+        members.append(v)
+        v = step(t, v)
+    i = members.index(min(members))
+    return tuple(members[i:] + members[:i])
+
+
+def _total_stopping_time_plain(t, n, minima, budget):
+    v, k = n, 0
+    while v not in minima:
+        if k >= budget:
+            return None
+        v = step(t, v)
+        k += 1
+    return k
+
+
+def _descent_time_plain(t, n, budget):
+    v, k = n, 0
+    while k < budget:
+        v = step(t, v)
+        k += 1
+        if v < n:
+            return k
+    return None
+
+
+# (2,5,1)+ diverges from most seeds; the others converge, and the minus maps
+# and (12,14,10)+ also have cycles whose minima are left out below
+WALK_MAPS = [
+    (T_CLASSIC, {1}),
+    (T_MOD10, {4}),
+    (validate_triplet(12, 14, 10), {4, 5}),
+    (validate_triplet(2, 5, 1), {1}),
+    (validate_triplet(3, 4, 1, -1), {1}),
+    (validate_triplet(5, 7, 2, -1), {1, 2}),
+    (validate_triplet(6, 7, 1, -1), {1, 23}),
+    (validate_triplet(3, 5, 2, -1), {1}),
+]
+
+
+@pytest.mark.parametrize("t, minima", WALK_MAPS, ids=[t.label for t, _ in WALK_MAPS])
+def test_orbit_walker_matches_plain_loops(t, minima):
+    # the walker stops early at cycle closure; the answers at every budget,
+    # exhausted ones included, are those of the loops that walk to the end
+    for budget in (*range(1, 40), 100, 257, 2000):
+        for n in range(1, 400):
+            c = detect_cycle(t, n, budget)
+            assert (c and c.members) == _detect_cycle_plain(t, n, budget), (n, budget)
+            want = _total_stopping_time_plain(t, n, minima, budget)
+            assert total_stopping_time(t, n, minima, budget) == want, (n, budget)
+            if n > 1:
+                assert descent_time(t, n, budget) == _descent_time_plain(t, n, budget), (n, budget)
+    for n in range(1, 400):
+        assert total_stopping_time(t, n, minima, 0) == (0 if n in minima else None)
+        assert n == 1 or descent_time(t, n, 0) is None
+
 
 def test_detect_cycle_classic():
     c = detect_cycle(T_CLASSIC, 7)
@@ -823,26 +911,22 @@ def _stopping_times_plain(t, lo, hi, minima, budget, sigma, trapped, triv=None, 
 
 
 def _kernels_agree(t, lo, hi, minima, budget, triv, members):
-    """Run both kernels on fresh memos, as _certify_block lays them out, and
-    compare the whole memos and the return values."""
-    runs = []
-    for kernel in (dynamics._stopping_times, _stopping_times_plain):
-        if lo <= hi - lo + 1:
-            sigma, trapped = array("I", [dynamics._FAILED]) * (hi + 1), bytearray(hi + 1)
-        elif kernel is _stopping_times_plain:
-            sigma, trapped = {}, {}
-        else:
-            sigma, trapped = defaultdict(lambda: dynamics._FAILED), defaultdict(int)
-        got = kernel(t, lo, hi, frozenset(minima), budget, sigma, trapped, triv, frozenset(members))
-        runs.append((got, sigma, trapped))
-    (got, sigma, trapped), (want, sigma0, trapped0) = runs
+    """Run the kernel on its own memo and the plain loop on dicts, and compare
+    the memos over lo..hi, that nothing outside it was touched, and the
+    return values."""
+    minima, members = frozenset(minima), frozenset(members)
+    *got, (sigma, trapped) = dynamics._stopping_times(t, lo, hi, minima, budget, triv, members)
+    sigma0, trapped0 = {}, {}
+    want = _stopping_times_plain(t, lo, hi, minima, budget, sigma0, trapped0, triv, members)
     label = (t.label, lo, hi, sorted(minima), budget, triv, sorted(members))
-    assert got == want, label
-    if isinstance(sigma0, dict):
-        assert set(sigma) == set(trapped) == set(range(lo, hi + 1)), label
-        sigma, trapped = dict(sigma), dict(trapped)
-    assert sigma == sigma0, label
-    assert trapped == trapped0, label
+    assert tuple(got) == want, label
+    seeds = range(lo, hi + 1)
+    if isinstance(sigma, dict):
+        assert set(sigma) == set(trapped) == set(seeds), label
+    else:
+        assert set(sigma[:lo]) <= {dynamics._FAILED} and not any(trapped[:lo]), label
+    assert {n: sigma[n] for n in seeds} == sigma0, label
+    assert {n: trapped[n] for n in seeds} == trapped0, label
 
 
 # convergent triplets of both signs, with their cycles from seeds up to 400
@@ -906,7 +990,12 @@ def test_big_d_column_walks_each_orbit_once(monkeypatch):
     rec = dynamics._sigma_map_scan((8, 0, 10**4, 10**6))
     assert _CountingInt.steps < 100_000
     monkeypatch.setattr(dynamics, "make_pq", make_pq)
-    monkeypatch.setattr(dynamics, "_stopping_times", _stopping_times_plain)
+
+    def plain(t, lo, hi, minima, budget, triv, members):
+        sigma, trapped = array("I", [dynamics._FAILED]) * (hi + 1), bytearray(hi + 1)
+        return *_stopping_times_plain(t, lo, hi, minima, budget, sigma, trapped, triv, members), (sigma, trapped)
+
+    monkeypatch.setattr(dynamics, "_stopping_times", plain)
     assert rec == dynamics._sigma_map_scan((8, 0, 10**4, 10**6))
 
 
@@ -1004,6 +1093,16 @@ def test_descent_table_budgets(t, minima):
         k = _depth(t.d, 5000)
         for budget in sorted({1, k - 1, k, k + 1, 50, 10**6} - {-1, 0}):
             _assert_descent_matches(t, minima, n_start, n_start + 4999, 5000, budget)
+
+
+def test_descent_table_past_64_bits():
+    # (2,23,1)+ at depth 14: the survivor of the class of all ones has
+    # multiplier 23^14 > 2^63.  Most seeds climb and fail at the budget.
+    t = validate_triplet(2, 23, 1)
+    assert max(dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, 14)[2]) == 23**14
+    for budget in (15, 40):
+        _assert_descent_matches(t, (), 1, 20000, DEFAULT_BLOCK, budget)
+        _assert_descent_matches(t, (), 10**12 + 17, 10**12 + 20016, 20000, budget)
 
 
 def test_descent_table_around_a_large_minimum():

@@ -169,6 +169,8 @@ def test_regeneration_length_mismatch_raises():
     t = make_pq(1, 0)
     with pytest.raises(VerificationError):
         _regenerate(t, 14, 8)  # true length is 9
+    with pytest.raises(VerificationError, match="not its cycle minimum"):
+        _regenerate(t, 20, 9)  # on the cycle of 14
 
 
 # ---------------------------------------------------------------------------
