@@ -10,7 +10,8 @@ core totality conditions.  Attractor-mode verify and the stopping-time table
 share one memoized kernel, _stopping_times: a walk that reaches the minima
 within the budget resolves every orbit value it passed in the scanned range,
 so orbits that climb far before they fall (large d) are walked once, not
-once per seed on them.
+once per seed on them.  Both kernels walk a seed in one step loop whose
+stretches end where Brent's tortoise moves (step _TORTOISE_AT, then doubling).
 
 Descent mode takes the first k steps of most seeds from a table over
 r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
@@ -45,11 +46,11 @@ DEFAULT_BLOCK = 2**16
 # array('I') sentinel: no stopping time (budget spent or an unregistered cycle)
 _FAILED = 2**32 - 1
 
-# Attractor-mode step (at least 1) at which Brent's cycle test puts down its
-# first tortoise; later ones go down at twice the step count of the one before.
-# The tortoise rides in the set the loop already probes for minima, so a step
-# costs the same before and after it; the value only trades the boundary work
-# of short orbits against how late a trapped seed is caught.
+# Step (at least 1) at which both kernels put down Brent's first tortoise;
+# later ones go down at twice the step count of the one before.  A step costs
+# the same before and after it (descent compares with 0, which no orbit takes,
+# until then); the value only trades the boundary work of short orbits
+# against how late a trapped seed is caught.
 _TORTOISE_AT = 256
 
 # Most residue classes mod d^k in a descent table (see _descent_table)
@@ -255,20 +256,20 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     the table with a >= amin and seeds above max(minima), no orbit value at or
     above n is a minimum: a settled class counts at its jstar, a survivor
     starts depth steps in.  Other rows start every seed at (n, 0).  A seed
-    still walking at step _TORTOISE_AT goes on under Brent's test as in
-    detect_cycle, and fails once its orbit closes a cycle that has no value
-    below n and no minimum.
+    fails at the budget or when its orbit meets Brent's tortoise, put down as
+    in _stopping_times (or at the start, if later).  Returns (failures, best),
+    best the first (steps, n) with the most steps or (0, 0).
     """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
     m, b = _step_form(d, beta, kappa)
     top = max(minima, default=1)
-    lim = min(budget, _TORTOISE_AT)
+    lim0 = min(budget, _TORTOISE_AT)
     depth = 0
     while d ** (depth + 1) <= min(_TABLE_CLASSES, bend - bstart + 1):
         depth += 1
     table = _descent_table(d, alpha, beta, kappa, depth) if 1 < depth < budget else None
     size = d**depth if table else bend + 1  # without a table the block is one row
-    verified, failures, best = 0, [], (0, 0)  # best: (steps, n)
+    failures, best = [], (0, 0)
     for a in range(bstart // size, bend // size + 1):
         base = a * size
         lo, hi = max(bstart, base), min(bend, base + size - 1)
@@ -276,7 +277,6 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
         if table and not low and a >= table[4]:
             jstar, survivors, mult, tail, _ = table
             settled = jstar[lo - base:hi - base + 1]
-            verified += len(settled) - settled.count(0)
             j = max(settled)
             if j > best[0]:  # every survivor that descends takes more steps
                 best = (j, lo + settled.index(j))
@@ -286,35 +286,27 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
         else:
             starts, k0 = zip(range(lo, hi + 1), range(lo, hi + 1)), 0
         for n, v in starts:
-            k = k0
             if low and (n == 1 or n in minima):
-                verified += 1
                 continue
-            while k < lim:
-                r = v % m
-                v = (alpha * v + b * r) // d if r else v // d
-                k += 1
-                if v < n or low and v in minima:
-                    break
-            else:  # the tortoise goes down at steps lim, 2*lim, 4*lim, ...
-                tortoise, move = v, 2 * k
-                while k < budget:
+            k, tortoise, lim = k0, 0, lim0  # no orbit value is 0
+            while True:
+                while k < lim:
                     r = v % m
                     v = (alpha * v + b * r) // d if r else v // d
                     k += 1
                     if v < n or low and v in minima:
+                        if k > best[0]:
+                            best = (k, n)
                         break
                     if v == tortoise:  # the orbit repeats from here and never descends
-                        k = budget
-                    elif k == move:
-                        tortoise, move = v, 2 * k
+                        k = lim = budget
                 else:
+                    if k < budget:  # move the tortoise to v and double the stretch
+                        tortoise, lim = v, min(budget, 2 * k)
+                        continue
                     failures.append(n)
-                    continue
-            verified += 1
-            if k > best[0]:
-                best = (k, n)
-    return verified, failures, best
+                break
+    return failures, best
 
 
 def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
@@ -330,7 +322,9 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     of a minimum, ends at a minimum other than triv, returns to n, or reaches
     a seed whose bit is set.  A walk ends at an orbit value in [lo, n) with
     that seed's entries, and at a resolved one in (n, hi] if the sum of the
-    two times is within the budget.
+    two times is within the budget.  So the budget bounds each walk, not the
+    stopping time, which can exceed it; failures depend on lo..hi, and only
+    a range of one seed matches total_stopping_time.
 
     A walk that reaches a minimum within the budget also resolves every orbit
     value v in (n, hi] it passed: at step k, sigma[v] = s - k, and trapped[v]
@@ -424,16 +418,15 @@ def _certify_block(args) -> dict:
     t, bstart, bend, mode, minima, budget = args
     minima = frozenset(minima)
     if mode == "descent":
-        verified, failures, best = _descent_seeds(t, bstart, bend, minima, budget)
+        failures, best = _descent_seeds(t, bstart, bend, minima, budget)
     else:
         failures, best, _, _ = _stopping_times(t, bstart, bend, minima, budget)
-        verified = bend - bstart + 1 - len(failures)
     return {
         "type": "block",
         "block_start": bstart,
         "block_end": bend,
         "status": "pass" if not failures else "fail",
-        "verified": verified,
+        "verified": bend - bstart + 1 - len(failures),
         "failures": failures,
         "max_sigma": list(best) if best[0] > 0 else None,
         "argmax_n": best[1] if best[0] > 0 else None,

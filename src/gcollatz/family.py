@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import ne
 
 from gcollatz.core import DomainError, Triplet, step, validate_triplet
@@ -108,18 +108,18 @@ def trivial_cycle_general(dprime: int, q: int) -> Cycle:
 
     For q >= 1 the members are beta/2^q, ..., beta/2, beta, 2*beta, ...,
     dprime*beta (length dprime + q); for q = 0 they are beta, 2*beta, ...,
-    d*beta (length d).  Built analytically and verified by iteration.
+    d*beta (length d).  Built analytically; each member is checked to map to
+    the next, the last to the first, and as they rise the minimum is first.
     """
     if dprime < 2 or q < 0:
         raise DomainError("bad_shape", f"need dprime >= 2 and q >= 0, got {dprime}, {q}")
     d = (1 << q) * dprime
     t = validate_triplet(d, d + (1 << q), d - (1 << q))
     beta = t.beta
-    c = _regenerate(t, beta >> q, q + dprime)
-    analytic = chain((beta >> i for i in range(q, 0, -1)), range(beta, dprime * beta + 1, beta))
-    if any(map(ne, c.members, analytic)):
+    members = tuple(chain((beta >> i for i in range(q, 0, -1)), range(beta, dprime * beta + 1, beta)))
+    if any(map(ne, map(step, repeat(t), members), chain(islice(members, 1, None), members[:1]))):
         raise VerificationError(f"{t.label}: iteration does not give the analytic trivial cycle")
-    return c
+    return Cycle(t, members)
 
 
 def trivial_cycle_pq(p: int, q: int) -> Cycle:

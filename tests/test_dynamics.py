@@ -369,6 +369,20 @@ def test_attractor_late_success_across_tortoise():
         assert rep.failures == (n,) and rep.max_sigma is None
 
 
+def test_attractor_budget_bounds_each_walk():
+    # --budget bounds each walk, not the stopping time: a walk that meets a
+    # smaller seed of its block adds that seed's time, so the block's record
+    # can pass the budget and its failures depend on the block size.  With
+    # one seed per block each seed is walked alone, as total_stopping_time.
+    kw = dict(mode="attractor", minima={1}, budget=10)
+    rep = verify_range(T_CLASSIC, 1, 2000, **kw)
+    assert (len(rep.failures), rep.max_sigma) == (919, (1119, 58))
+    rep = verify_range(T_CLASSIC, 1, 2000, block_size=1, **kw)
+    assert (len(rep.failures), rep.max_sigma) == (1956, (11, 10))
+    alone = [n for n in range(1, 2001) if total_stopping_time(T_CLASSIC, n, {1}, 10) is None]
+    assert list(rep.failures) == alone
+
+
 def test_attractor_trapped_scan_worker_and_journal_identity(tmp_path):
     one, two = tmp_path / "one.ndjson", tmp_path / "two.ndjson"
     a = _trapped_scan(workers=1, checkpoint=str(one))
@@ -1156,6 +1170,18 @@ def test_descent_tail_matches_plain_loop(monkeypatch, tortoise_at):
     for t, minima in SIEVE_MAPS[::4] + SIEVE_MAPS[-4:]:
         _assert_descent_matches(t, minima, 1, 3000, 1000, 10**4)
         _assert_descent_matches(t, minima, 10**12 + 17, 10**12 + 3016, 3000, 10**4)
+
+
+@pytest.mark.parametrize("n, steps", [(63728127, 376), (212581558780141311, 620)])
+def test_descent_table_survivor_past_the_tortoise(n, steps):
+    # at the default _TORTOISE_AT, a survivor of the depth-9 table of
+    # (2,3,1)+ that descends after the first tortoise (step 256) and, for
+    # the second seed, after the second (step 512) too
+    args = (T_CLASSIC, n - 500, n + 500, "descent", (1,), 10**6)
+    table = dynamics._descent_table(2, 3, 1, 1, 9)
+    assert n % 2**9 in table[1] and table[4] <= n // 2**9
+    assert dynamics._certify_block(args)["max_sigma"] == [steps, n]
+    _assert_descent_matches(T_CLASSIC, (1,), n - 500, n + 500, 1001, 10**6)
 
 
 # a large beta keeps small seeds from descending at their class's step, so

@@ -68,6 +68,16 @@ def test_trivial_cycle_general_examples():
     assert trivial_cycle_general(5, 0).members == (4, 8, 12, 16, 20)
 
 
+@pytest.mark.parametrize("moved", [5, 30, 60])
+def test_trivial_cycle_general_refuses_a_wrong_image(monkeypatch, moved):
+    # one member, the last one included, whose image is not the next member
+    from gcollatz import family
+
+    monkeypatch.setattr(family, "step", lambda t, n: step(t, n) + (n == moved))
+    with pytest.raises(VerificationError, match="analytic trivial cycle"):
+        trivial_cycle_general(6, 1)
+
+
 def test_trivial_cycle_pq_examples():
     c = trivial_cycle_pq(3, 1)
     assert c.members == (4, 8, 16, 24, 32, 40)
