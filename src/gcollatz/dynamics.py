@@ -12,6 +12,10 @@ within the budget resolves every orbit value it passed in the scanned range,
 so orbits that climb far before they fall (large d) are walked once, not
 once per seed on them.  Both kernels walk a seed in one step loop whose
 stretches end where Brent's tortoise moves (step _TORTOISE_AT, then doubling).
+The cycle scan, find_cycles_in_range, is the third memoized kernel: a walk
+ends at a seed or cycle member whose tail length is known, and it judges a
+seed exhausted from that length and _walk's closed-form Brent step, so its
+reports are those of detect_cycle run from every seed.
 
 Descent mode takes the first k steps of most seeds from a table over
 r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
@@ -148,22 +152,89 @@ class CycleScan:
     exhausted: tuple[int, ...]
 
 
+def _brent_reach(lam: int, budget: int) -> int:
+    """Longest tail mu with which _walk closes a cycle of length lam within
+    budget steps, or -1.  It closes at step T + lam, T the least 2^i - 1 with
+    T >= mu and 2^i >= lam, so the bound is itself of the form 2^i - 1."""
+    i = max(0, budget - lam + 1).bit_length() - 1  # the largest i with 2^i - 1 + lam <= budget
+    return (1 << i) - 1 if i >= (lam - 1).bit_length() else -1
+
+
 def find_cycles_in_range(t: Triplet, n_max: int, budget: int = DEFAULT_BUDGET) -> CycleScan:
-    """Distinct cycles found by running detect_cycle from every n <= n_max,
-    deduplicated by minimum element; budget-exhausted seeds listed separately."""
+    """The cycles and budget-exhausted seeds that detect_cycle finds from
+    every n <= n_max, cycles sorted by minimum element.
+
+    One memoized pass in ascending seed order.  mu[n] is n's tail length
+    (steps until its orbit enters its cycle, -1 while unknown) and cyc[n]
+    the index of that cycle in found; where maps the members of found
+    cycles above n_max to their index.  A walk from n ends at the first
+    value whose entries are known (a resolved seed or a cycle member), at
+    Brent's tortoise, put down as in _walk, or after budget steps.  At the
+    tortoise it has closed a cycle no earlier walk met: cycle_through
+    records its members and n is walked again, now ending at a member.  A
+    resolved walk sets the entries of every seed it passed (values above
+    n_max are not kept).  n is exhausted iff its walk spent the budget or
+    _walk would close its cycle after the budget, i.e. mu[n] is past the
+    cycle's _brent_reach; so a cycle is listed iff one of its seeds closes
+    within budget, and each walk that closed one did.
+    """
     _need_at_least("n_max", n_max, 1)
     _need_at_least("budget", budget, 1)
     check_total(t)
-    found: dict[int, Cycle] = {}
+    d, alpha = t.d, t.alpha
+    m, b = _step_form(d, t.beta, t.kappa0)
+    mu, cyc = array("q", [-1]) * (n_max + 1), array("i", [0]) * (n_max + 1)
+    found, reach, where = [], [], {}
+    path = []  # v, k of the walk's unresolved orbit values in [1, n_max], flat
+    push = path.append
     exhausted = []
     for n in range(1, n_max + 1):
-        c = detect_cycle(t, n, budget)
-        if c is None:
+        s, c = mu[n], cyc[n]
+        while s < 0:  # walk n; again once it has closed a new cycle
+            v, k, tortoise, lim = n, 0, n, 1
+            while True:
+                while k < lim:
+                    r = v % m
+                    v = (alpha * v + b * r) // d if r else v // d
+                    k += 1
+                    if v <= n_max:
+                        x = mu[v]
+                        if x >= 0:
+                            s, c = k + x, cyc[v]
+                            break
+                        push(v)
+                        push(k)
+                    elif v in where:
+                        s, c = k, where[v]
+                        break
+                    if v == tortoise:
+                        break
+                else:
+                    if k < budget:  # move the tortoise to v and double the stretch
+                        tortoise, lim = v, min(budget, 2 * k + 1)
+                        continue
+                break
+            if s >= 0 or v != tortoise:  # resolved, or the budget is spent
+                break
+            cycle = cycle_through(t, v)
+            c = len(found)
+            found.append(cycle)
+            reach.append(_brent_reach(cycle.length, budget))
+            for w in cycle.members:
+                if w <= n_max:
+                    mu[w], cyc[w] = 0, c
+                else:
+                    where[w] = c
+            path.clear()
+            s = mu[n]
+        if s < 0 or s > reach[c]:
             exhausted.append(n)
-        else:
-            found.setdefault(c.omega, c)
-    cycles = tuple(found[w] for w in sorted(found))
-    return CycleScan(cycles, tuple(exhausted))
+        if s >= 0:
+            for i in range(0, len(path), 2):
+                v = path[i]
+                mu[v], cyc[v] = s - path[i + 1], c
+        path.clear()
+    return CycleScan(tuple(sorted(found, key=lambda cy: cy.omega)), tuple(exhausted))
 
 
 # ---------------------------------------------------------------------------

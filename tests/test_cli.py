@@ -570,6 +570,415 @@ GOLDEN_STDOUT = {
 }
 """,
     ),
+    "cycles-exhausted": (
+        "cycles --d 12 --alpha 14 --beta 10 --to 300 --budget 20".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "budget": 20,
+  "cycles": [
+    {
+      "length": 6,
+      "members": [
+        4,
+        8,
+        16,
+        22,
+        34,
+        48
+      ],
+      "omega": 4
+    },
+    {
+      "length": 7,
+      "members": [
+        5,
+        10,
+        20,
+        30,
+        40,
+        50,
+        60
+      ],
+      "omega": 5
+    }
+  ],
+  "exhausted": [
+    7,
+    9,
+    14,
+    18,
+    19,
+    21,
+    26,
+    29,
+    31,
+    32,
+    33,
+    37,
+    38,
+    42,
+    44,
+    49,
+    54,
+    55,
+    58,
+    63,
+    67,
+    68,
+    70,
+    71,
+    73,
+    75,
+    76,
+    77,
+    79,
+    81,
+    84,
+    86,
+    89,
+    90,
+    92,
+    93,
+    94,
+    97,
+    98,
+    99,
+    102,
+    103,
+    105,
+    108,
+    110,
+    113,
+    114,
+    116,
+    119,
+    121,
+    124,
+    126,
+    130,
+    131,
+    135,
+    136,
+    137,
+    139,
+    143,
+    148,
+    149,
+    151,
+    152,
+    155,
+    157,
+    160,
+    162,
+    163,
+    164,
+    168,
+    169,
+    173,
+    176,
+    177,
+    178,
+    179,
+    181,
+    182,
+    183,
+    184,
+    185,
+    187,
+    189,
+    190,
+    191,
+    194,
+    195,
+    196,
+    197,
+    198,
+    199,
+    201,
+    206,
+    211,
+    212,
+    213,
+    214,
+    215,
+    216,
+    217,
+    218,
+    219,
+    220,
+    221,
+    223,
+    224,
+    225,
+    227,
+    228,
+    229,
+    230,
+    232,
+    233,
+    234,
+    236,
+    237,
+    238,
+    241,
+    242,
+    243,
+    245,
+    247,
+    249,
+    251,
+    252,
+    254,
+    256,
+    257,
+    258,
+    259,
+    261,
+    262,
+    263,
+    266,
+    267,
+    268,
+    269,
+    270,
+    271,
+    273,
+    274,
+    276,
+    278,
+    279,
+    282,
+    283,
+    284,
+    285,
+    286,
+    289,
+    290,
+    291,
+    293,
+    294,
+    297,
+    298,
+    299
+  ],
+  "label": "(12,14,10)+",
+  "n_max": 300,
+  "schema": "gcollatz.cycles/1",
+  "triplet": {
+    "alpha": 14,
+    "beta": 10,
+    "d": 12,
+    "kappa0": 1
+  }
+}
+""",
+    ),
+    "cycles-exhausted-minus": (
+        "cycles --d 3 --alpha 4 --beta 1 --kappa -1 --to 200 --budget 12".split(),
+        0,
+        """\
+{
+  "artifact_version": "0.1.0",
+  "budget": 12,
+  "cycles": [
+    {
+      "length": 3,
+      "members": [
+        1,
+        2,
+        3
+      ],
+      "omega": 1
+    }
+  ],
+  "exhausted": [
+    5,
+    7,
+    8,
+    10,
+    11,
+    14,
+    15,
+    16,
+    17,
+    19,
+    21,
+    22,
+    23,
+    24,
+    25,
+    26,
+    28,
+    30,
+    31,
+    32,
+    33,
+    34,
+    35,
+    37,
+    38,
+    41,
+    42,
+    43,
+    44,
+    45,
+    46,
+    47,
+    48,
+    49,
+    50,
+    51,
+    52,
+    53,
+    55,
+    56,
+    57,
+    58,
+    59,
+    61,
+    62,
+    63,
+    64,
+    66,
+    67,
+    68,
+    69,
+    70,
+    71,
+    72,
+    73,
+    74,
+    75,
+    76,
+    77,
+    78,
+    79,
+    80,
+    82,
+    83,
+    84,
+    85,
+    86,
+    88,
+    89,
+    90,
+    91,
+    92,
+    93,
+    94,
+    95,
+    96,
+    97,
+    98,
+    99,
+    100,
+    101,
+    102,
+    103,
+    104,
+    105,
+    106,
+    107,
+    109,
+    110,
+    111,
+    112,
+    113,
+    114,
+    115,
+    116,
+    118,
+    119,
+    122,
+    123,
+    124,
+    125,
+    126,
+    127,
+    128,
+    129,
+    130,
+    131,
+    132,
+    133,
+    134,
+    135,
+    137,
+    138,
+    139,
+    140,
+    141,
+    142,
+    143,
+    144,
+    145,
+    146,
+    147,
+    148,
+    149,
+    150,
+    151,
+    152,
+    153,
+    154,
+    155,
+    156,
+    157,
+    158,
+    159,
+    160,
+    161,
+    163,
+    164,
+    165,
+    166,
+    167,
+    168,
+    169,
+    170,
+    171,
+    172,
+    173,
+    174,
+    175,
+    176,
+    177,
+    178,
+    179,
+    181,
+    183,
+    184,
+    185,
+    186,
+    187,
+    188,
+    189,
+    190,
+    191,
+    192,
+    193,
+    194,
+    195,
+    196,
+    197,
+    198,
+    199,
+    200
+  ],
+  "label": "(3,4,1)-",
+  "n_max": 200,
+  "schema": "gcollatz.cycles/1",
+  "triplet": {
+    "alpha": 4,
+    "beta": 1,
+    "d": 3,
+    "kappa0": -1
+  }
+}
+""",
+    ),
     "identities-31": (
         "identities --p 3 --q 1 --theorem 31 --trials 5".split(),
         0,

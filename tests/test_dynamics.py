@@ -2,14 +2,15 @@
 
 import functools
 import json
+import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcollatz import dynamics
-from gcollatz.core import iterate, report_json, step, validate_triplet
+from gcollatz.core import DomainError, check_total, iterate, report_json, step, validate_triplet
 from gcollatz.dynamics import (
     DEFAULT_BLOCK,
     descent_time,
@@ -205,6 +206,85 @@ def test_found_cycles_are_closed_and_disjoint():
             assert step(c.triplet, m) == c.members[(i + 1) % c.length]
 
 
+def _cycle_seeds_plain(t, n_max, budget):
+    # detect_cycle from every seed: None when exhausted, else its cycle
+    return [detect_cycle(t, n, budget) for n in range(1, n_max + 1)]
+
+
+def _find_cycles_plain(t, n_max, budget, seeds=None):
+    # Reference for find_cycles_in_range: a fresh detect_cycle from every
+    # seed, deduplicated by minimum element (seeds: _cycle_seeds_plain's list
+    # for n_max or more)
+    seeds = seeds or _cycle_seeds_plain(t, n_max, budget)
+    found = {c.omega: c for c in seeds[:n_max] if c is not None}
+    exhausted = tuple(n for n, c in enumerate(seeds[:n_max], 1) if c is None)
+    return dynamics.CycleScan(tuple(found[w] for w in sorted(found)), exhausted)
+
+
+@pytest.mark.parametrize("t", [t for t, _ in WALK_MAPS], ids=[t.label for t, _ in WALK_MAPS])
+def test_find_cycles_matches_plain_loop(t):
+    # the memo depends on n_max (only seeds up to it are kept), so every
+    # prefix is scanned on its own, at every budget of the orbit walker test
+    for budget in (*range(1, 41), 100, 257, 2000):
+        seeds = _cycle_seeds_plain(t, 400, budget)
+        for n_max in (*range(1, 41), 64, 100, 150, 255, 256, 257, 399, 400):
+            want = _find_cycles_plain(t, n_max, budget, seeds)
+            assert find_cycles_in_range(t, n_max, budget) == want, (n_max, budget)
+
+
+@st.composite
+def _small_triplets(draw):
+    # valid, total triplets with d <= 9 of both signs: alpha + kappa0*beta = j*d
+    d = draw(st.integers(2, 9))
+    kappa = draw(st.sampled_from((1, -1)))
+    alpha = draw(st.integers(d + 1, 4 * d).filter(lambda a: a % d))
+    j = draw(st.integers(0 if kappa < 0 else 1, 4))
+    t = validate_triplet(d, alpha, kappa * (j * d - alpha), kappa)
+    try:
+        check_total(t)
+    except DomainError:
+        assume(False)
+    return t
+
+
+@given(_small_triplets(), st.integers(1, 150), st.integers(1, 300))
+@settings(max_examples=120, deadline=None)
+def test_find_cycles_matches_plain_loop_random(t, n_max, budget):
+    assert find_cycles_in_range(t, n_max, budget) == _find_cycles_plain(t, n_max, budget)
+
+
+def _tail_and_cycle(t, n):
+    # (mu, lam) of n's orbit from a dict of every value seen, or None when
+    # no value repeats within 2000 steps
+    seen, v = {}, n
+    for k in range(2000):
+        if v in seen:
+            return seen[v], k - seen[v]
+        seen[v] = k
+        v = step(t, v)
+    return None
+
+
+@pytest.mark.parametrize("t", [t for t, _ in WALK_MAPS], ids=[t.label for t, _ in WALK_MAPS])
+def test_brent_closure_step_closed_form(t):
+    # _walk closes Brent's test at T + lam, T the least 2^i - 1 with T >= mu
+    # and 2^i >= lam; find_cycles_in_range judges its seeds by that step
+    # through _brent_reach
+    closed = 0
+    for n in range(1, 400):
+        tail = _tail_and_cycle(t, n)
+        if tail is None:
+            continue
+        mu, lam = tail
+        terminal, k, _ = dynamics._walk(t, n, frozenset(), False, 10**4)
+        assert terminal == "cycle", n
+        assert k == (1 << max(mu.bit_length(), (lam - 1).bit_length())) - 1 + lam, (n, mu, lam)
+        for budget in (*range(1, 70), 100, 127, 128, 257, 2000):
+            assert (k <= budget) == (mu <= dynamics._brent_reach(lam, budget)), (n, budget)
+        closed += 1
+    assert closed > 50
+
+
 # ---------------------------------------------------------------------------
 # stopping times
 # ---------------------------------------------------------------------------
@@ -329,6 +409,31 @@ def test_descent_seed_in_an_unlisted_cycle_exits_at_cycle_closure():
     for n in (1305, 955):
         steps = _steps_to_fail(T_TRAPPED, n, {4, 5}, 10**6, mode="descent")
         assert dynamics._TORTOISE_AT < steps < 2 * dynamics._TORTOISE_AT
+
+
+def test_find_cycles_walks_each_orbit_once():
+    # a walk ends at the first seed or cycle member whose tail is known, so
+    # 1..2e4 take under 100k steps (about 1M with a fresh Brent walk, and a
+    # second lap of the cycle, from every seed)
+    _CountingInt.steps = 0
+    scan = find_cycles_in_range(_counting(T_TRAPPED), 2 * 10**4)
+    assert _CountingInt.steps < 100_000
+    assert [(c.omega, c.length) for c in scan.cycles] == [(4, 6), (5, 7), (1305, 17)]
+    assert scan.exhausted == ()
+
+
+def test_find_cycles_keeps_no_diverging_orbit():
+    # most (2,5,1)+ orbits climb without end; only values up to n_max are
+    # kept, so the 11 exhausted walks of 1e4 steps stay far below 1 MB
+    tracemalloc.start()
+    try:
+        scan = find_cycles_in_range(validate_triplet(2, 5, 1), 30, budget=10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [c.omega for c in scan.cycles] == [1, 13, 17]
+    assert scan.exhausted == (7, 9, 11, 14, 18, 21, 22, 23, 25, 28, 29)
 
 
 @functools.cache
