@@ -20,10 +20,13 @@ reports are those of detect_cycle run from every seed.
 Descent mode takes the first k steps of most seeds from a table over
 r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
 paper's Theorem 3.1: T^j(a*d^k + r) = alpha^s_j(r) * a * d^(k-j) + T^j(r) for
-j <= k.  Seeds below the table's threshold on a, in a row of d^k that reaches
-down to max(minima), or scanned with budget <= k start at step 0 instead, and
-so does every seed of a block with k < 2: a table of depth 1 settles only
-d | n.  Either way the report and journal bytes are the same.
+j <= k.  A seed still at or above itself after k steps (a survivor) goes on
+through the same table, one hop of up to k steps per lookup, until a whole
+hop no longer fits before Brent's first tortoise or the budget, and then one
+step at a time.  Seeds below the table's threshold on a, in a row of d^k that
+reaches down to max(minima), or scanned with budget <= k start at step 0
+instead, and so does every seed of a block with k < 2: a table of depth 1
+settles only d | n.  Either way the report and journal bytes are the same.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable
 
 from gcollatz.core import Triplet, check_total, step
@@ -296,14 +299,20 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
     n = a*d^depth + r descends at step j <= depth iff a*c_j > T^j(r) - r, with
     c_j = d^(depth-j) * (d^j - alpha^s_j(r)), never 0 as d does not divide
     alpha.  Returns jstar[r], the first j with c_j > 0 or 0; the classes with
-    jstar 0 ("survivors"), with alpha^s_depth(r) and T^depth(r); and amin, the
-    least a from which every class descends at its jstar and no earlier step.
+    jstar 0 ("survivors"); for every class, hop[r] = jstar[r] or depth,
+    mult[r] = alpha^s * d^(depth-hop) and tail[r] = T^hop(r), so that
+    T^hop(a*d^depth + r) = mult[r]*a + tail[r]; and amin, the least a from
+    which every class descends at its jstar and no earlier step.  So for
+    x >= amin, no orbit value of x*d^depth + r falls below it before step
+    hop[r], and a survivor stays at or above it for depth steps.  Each
+    (s, hop) has one shared int, so mult costs a pointer per class.
     """
     m, b = _step_form(d, beta, kappa)
-    jstar = bytearray(d**depth)
-    survivors, mult, tail = [], [], []
+    size = d**depth
+    jstar, hop = bytearray(size), bytearray(size)
+    survivors, mult, tail, shared = [], [], [], {}
     amin = 0
-    for r in range(d**depth):
+    for r in range(size):
         v, s = r, 0
         for j in range(1, depth + 1):
             x = v % m
@@ -316,20 +325,27 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
             amin = max(amin, -((r - v) // c))  # no descent yet while a*c <= v - r
         else:
             survivors.append(r)
-            mult.append(alpha**s)
-            tail.append(v)
-    return jstar, survivors, mult, tail, amin
+        hop[r] = j
+        mult.append(shared.setdefault((s, j), alpha**s * d ** (depth - j)))
+        tail.append(v)
+    return jstar, survivors, hop, mult, tail, amin
 
 
 def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget: int):
     """Descent mode: a seed is verified once its orbit falls below the seed or
     enters the minima; n = 1 and minima members are base cases.  In a row of
     the table with a >= amin and seeds above max(minima), no orbit value at or
-    above n is a minimum: a settled class counts at its jstar, a survivor
-    starts depth steps in.  Other rows start every seed at (n, 0).  A seed
-    fails at the budget or when its orbit meets Brent's tortoise, put down as
-    in _stopping_times (or at the start, if later).  Returns (failures, best),
-    best the first (steps, n) with the most steps or (0, 0).
+    above n is a minimum: a settled class counts at its jstar, and a survivor
+    goes on by hops, v = mult[r]*x + tail[r] for x, r = divmod(v, d^depth),
+    while a whole hop fits before the first tortoise and the budget.  The
+    hops keep the step count exact: v >= n >= a*d^depth gives x >= amin, so
+    by the table's invariant the orbit first falls below n at a hop's end,
+    if at all.
+    Other rows start every seed at (n, 0).  A seed not yet below n goes on
+    one step at a time; it fails at the budget or when its orbit meets
+    Brent's tortoise, put down as in _stopping_times (or at the start, if
+    later).  Returns (failures, best), best the first (steps, n) with the
+    most steps or (0, 0).
     """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
     m, b = _step_form(d, beta, kappa)
@@ -339,27 +355,36 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     while d ** (depth + 1) <= min(_TABLE_CLASSES, bend - bstart + 1):
         depth += 1
     table = _descent_table(d, alpha, beta, kappa, depth) if 1 < depth < budget else None
+    if table:
+        jstar, survivors, hop, mult, tail, amin = table
     size = d**depth if table else bend + 1  # without a table the block is one row
     failures, best = [], (0, 0)
     for a in range(bstart // size, bend // size + 1):
         base = a * size
         lo, hi = max(bstart, base), min(bend, base + size - 1)
         low = lo <= top
-        if table and not low and a >= table[4]:
-            jstar, survivors, mult, tail, _ = table
+        if table and not low and a >= amin:
             settled = jstar[lo - base:hi - base + 1]
             j = max(settled)
             if j > best[0]:  # every survivor that descends takes more steps
                 best = (j, lo + settled.index(j))
             i, e = bisect_left(survivors, lo - base), bisect_right(survivors, hi - base)
-            starts = ((base + r, u * a + c) for r, u, c in islice(zip(survivors, mult, tail), i, e))
-            k0 = depth
+            starts = ((base + r, mult[r] * a + tail[r]) for r in survivors[i:e])
+            k0, hlim = depth, lim0 - depth  # a hop of up to depth steps ends by lim0
         else:
-            starts, k0 = zip(range(lo, hi + 1), range(lo, hi + 1)), 0
+            starts, k0, hlim = zip(range(lo, hi + 1), range(lo, hi + 1)), 0, -1
         for n, v in starts:
             if low and (n == 1 or n in minima):
                 continue
             k, tortoise, lim = k0, 0, lim0  # no orbit value is 0
+            while k <= hlim and v >= n:
+                x, r = divmod(v, size)
+                k += hop[r]
+                v = mult[r] * x + tail[r]
+            if v < n:  # descended at a hop's end
+                if k > best[0]:
+                    best = (k, n)
+                continue
             while True:
                 while k < lim:
                     r = v % m

@@ -1218,7 +1218,7 @@ def test_descent_table_past_64_bits():
     # (2,23,1)+ at depth 14: the survivor of the class of all ones has
     # multiplier 23^14 > 2^63.  Most seeds climb and fail at the budget.
     t = validate_triplet(2, 23, 1)
-    assert max(dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, 14)[2]) == 23**14
+    assert max(dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, 14)[3]) == 23**14
     for budget in (15, 40):
         _assert_descent_matches(t, (), 1, 20000, DEFAULT_BLOCK, budget)
         _assert_descent_matches(t, (), 10**12 + 17, 10**12 + 20016, 20000, budget)
@@ -1241,7 +1241,8 @@ def test_descent_kernel_reads_the_table_from_its_first_row(monkeypatch):
     # A stand-in table settles every class at step 200, more than any seed of
     # (10,12,8)+ below 1e5 takes, from a = 3 on.  The block's maximum then
     # names the first row of 10^4 seeds that the kernel took from the table.
-    fake = (bytearray([200]) * 10**4, array("H"), array("q"), array("q"), 3)
+    settled = bytearray([200]) * 10**4
+    fake = (settled, [], settled, [1] * 10**4, [0] * 10**4, 3)
     monkeypatch.setattr(dynamics, "_descent_table", lambda *args: fake)
 
     def first_table_seed(minima, budget):
@@ -1284,7 +1285,7 @@ def test_descent_table_survivor_past_the_tortoise(n, steps):
     # the second seed, after the second (step 512) too
     args = (T_CLASSIC, n - 500, n + 500, "descent", (1,), 10**6)
     table = dynamics._descent_table(2, 3, 1, 1, 9)
-    assert n % 2**9 in table[1] and table[4] <= n // 2**9
+    assert n % 2**9 in table[1] and table[5] <= n // 2**9
     assert dynamics._certify_block(args)["max_sigma"] == [steps, n]
     _assert_descent_matches(T_CLASSIC, (1,), n - 500, n + 500, 1001, 10**6)
 
@@ -1299,12 +1300,52 @@ def test_descent_table_below_a_large_threshold(t, depth):
     # rows below, at and past the threshold, blocks cut at and off row ends;
     # the budget stops the seeds that are minima of cycles
     size = t.d**depth
-    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[4]
+    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[5]
     assert amin in (24, 3)
     for block_size in (size, size + 1, 3 * size - 5):
         for budget in (depth, depth + 1, 50, 10**4):
             _assert_descent_matches(t, (), 1, (amin + 2) * size, block_size, budget)
             _assert_descent_matches(t, (), (amin - 1) * size - 3, (amin + 3) * size, block_size, budget)
+
+
+HOP_MAPS = [(t, minima, 1000) for t, minima in dict.fromkeys(SIEVE_MAPS[::4] + SIEVE_MAPS[-4:])] + [
+    (t, (), t.d**depth) for t, depth in LARGE_THRESHOLD
+]
+HOP_IDS = [f"{t.label}{'-no-minima' if not m else ''}-{block}" for t, m, block in HOP_MAPS]
+
+
+@pytest.mark.parametrize("t, minima, block", HOP_MAPS, ids=HOP_IDS)
+def test_descent_hops_hand_over_to_steps(monkeypatch, t, minima, block):
+    # with the first tortoise or the budget at one or two table depths and
+    # one step either side, a survivor turns from hops to single steps in
+    # mid-orbit, and must descend, fail and count steps as the plain loop.
+    # From 1, the range runs two rows past the threshold on a.
+    depth = _depth(t.d, block)
+    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[5] if depth > 1 else 1
+    ranges = [(1, max(3000, (amin + 2) * t.d**depth)), (10**12 + 17, 10**12 + 3016)]
+    ends = sorted({depth, depth + 1, 2 * depth - 1, 2 * depth, 2 * depth + 1} - {0})
+    for lo, hi in ranges:
+        blocks = [(t, b0, b1, "descent", minima, 10**4) for b0, b1 in dynamics._blocks(lo, hi, block)]
+        plain = [_certify_block_plain(args) for args in blocks]
+        for tortoise_at in ends:
+            monkeypatch.setattr(dynamics, "_TORTOISE_AT", tortoise_at)
+            assert [dynamics._certify_block(args) for args in blocks] == plain, (t.label, lo, tortoise_at)
+        monkeypatch.undo()
+        for budget in range(depth + 1, 2 * depth + 2):
+            _assert_descent_matches(t, minima, lo, hi, block, budget)
+
+
+@pytest.mark.parametrize("t, minima", [(T_MOD10, (4,)), (T_CLASSIC, (1,))], ids=["mod10", "classic"])
+def test_descent_survivors_hop_through_the_table(t, minima):
+    # a survivor goes on by table hops until the first tortoise, so 1..2e5
+    # take under 100k inlined steps on each map (575k on (10,12,8)+ and 168k
+    # on (2,3,1)+ when survivors went one step at a time past the first hop)
+    t, minima = _counting(t), frozenset(minima)
+    dynamics._certify_block((t, 1, DEFAULT_BLOCK, "descent", minima, 10**6))  # builds the table
+    _CountingInt.steps = 0
+    for b0, b1 in dynamics._blocks(1, 2 * 10**5, DEFAULT_BLOCK):
+        dynamics._certify_block((t, b0, b1, "descent", minima, 10**6))
+    assert _CountingInt.steps < 100_000
 
 
 def _takes_table_path(t, depth, a, r, jstar) -> bool:
@@ -1330,15 +1371,20 @@ def _takes_table_path(t, depth, a, r, jstar) -> bool:
 )
 def test_descent_table_classes(t, depth):
     # each class against direct iteration, and the threshold is the least a
-    # (at least 1; class 0 at a = 0 is n = 0) from which every class is right
-    jstar, survivors, mult, tail, amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
+    # (at least 1; class 0 at a = 0 is n = 0) from which every class is right.
+    # From there a hop of hop[r] steps ends at mult[r]*a + tail[r], with no
+    # orbit value below the seed before its end.
+    jstar, survivors, hop, mult, tail, amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
     size = t.d**depth
     assert list(survivors) == [r for r in range(size) if jstar[r] == 0]
+    assert list(hop) == [j or depth for j in jstar]
     for a in (amin, amin + 1, 10**9 + 7):
         for r in range(size):
             assert _takes_table_path(t, depth, a, r, jstar[r]), (a, r)
-    for i, r in enumerate(survivors):
-        assert iterate(t, 10**9 * size + r, depth) == mult[i] * 10**9 + tail[i]
+            n = a * size + r
+            orbit = [iterate(t, n, j) for j in range(hop[r] + 1)]
+            assert orbit[-1] == mult[r] * a + tail[r], (a, r)
+            assert min(orbit[:-1]) >= n, (a, r)
     least = 0
     while not all(_takes_table_path(t, depth, least, r, jstar[r]) for r in range(1, size)):
         least += 1
