@@ -32,6 +32,7 @@ from gcollatz.dynamics import (
     detect_cycle,
     find_cycles_in_range,
     max_stopping_scan,
+    max_stopping_scans,
     total_stopping_time,
     trajectory,
     verify_range,

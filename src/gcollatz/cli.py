@@ -9,6 +9,7 @@ scientific notation parsed to exact integers (1e7 -> 10000000).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from gcollatz.dynamics import (
     DEFAULT_BLOCK,
     DEFAULT_BUDGET,
     find_cycles_in_range,
-    max_stopping_scan,
+    max_stopping_scans,
     trajectory,
     verify_range,
 )
@@ -245,9 +246,9 @@ def cmd_table(args) -> int:
     )
     reference = _reference_max_sigma()
     rows = []
-    for p in range(args.p_max + 1):
-        scan = max_stopping_scan(p, args.n_max, budget=args.budget, workers=args.workers)
-        ref = reference.get(p)
+    ps = range(args.p_max + 1)
+    for scan in max_stopping_scans(ps, args.n_max, budget=args.budget, workers=args.workers):
+        ref = reference.get(scan.p)
         # the table document holds n_max and budget once; rows carry no per-map detail
         row = {k: v for k, v in scan.to_dict().items()
                if k not in ("schema", "n_max", "budget", "per_map")}
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--minima", type=int_set, help="override the attractor minima")
     sp.add_argument("--budget", type=exact_int, default=DEFAULT_BUDGET)
     sp.add_argument("--block-size", type=exact_int, default=DEFAULT_BLOCK)
-    sp.add_argument("--workers", type=int, default=default_workers())
+    sp.add_argument("--workers", type=int)  # default_workers() when parsed
     sp.add_argument("--checkpoint", help="line-delimited JSON journal for resume")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--timing", action="store_true", help="include wall_time in the report")
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-max", type=int, required=True)
     sp.add_argument("--n-max", type=exact_int, required=True)
     sp.add_argument("--budget", type=exact_int, default=DEFAULT_BUDGET)
-    sp.add_argument("--workers", type=int, default=default_workers())
+    sp.add_argument("--workers", type=int)  # default_workers() when parsed
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_table)
 
@@ -390,8 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = functools.cache(build_parser)  # built on the first main() call, then kept
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    if getattr(args, "workers", 1) is None:
+        args.workers = default_workers()
     try:
         return args.fn(args)
     except DomainError as err:

@@ -1,17 +1,20 @@
 """Forward-orbit engines: trajectories, cycle detection, stopping times,
 range verification with checkpoint/resume, and stopping-time record scans.
 
-The range scanners split work into fixed-size blocks merged in block order,
-so reports are identical regardless of worker count.  Hot loops inline the
-map as one step for both signs, r = v % m; v = (alpha*v + b*r) // d if r else
+The range scanners split work into fixed-size blocks (the stopping-time
+table into (p, q) columns) merged in a fixed order, so reports are identical
+regardless of worker count or the order jobs finish in; all columns of a
+table share one process pool, largest p first.  Hot loops inline the map as
+one step for both signs, r = v % m; v = (alpha*v + b*r) // d if r else
 v // d, with (m, b) from _step_form; exactness of the division is guaranteed
 for every validated triplet, and positivity is re-checked once per scan via
 core totality conditions.  Attractor-mode verify and the stopping-time table
 share one memoized kernel, _stopping_times: a walk that reaches the minima
-within the budget resolves every orbit value it passed in the scanned range,
-so orbits that climb far before they fall (large d) are walked once, not
-once per seed on them.  Both kernels walk a seed in one step loop whose
-stretches end where Brent's tortoise moves (step _TORTOISE_AT, then doubling).
+within the budget resolves every orbit value it passed above the seed or
+below the block, so orbits that climb far before they fall (large d), or
+fall far below a block that starts far out, are walked once, not once per
+seed on them.  Both kernels walk a seed in one step loop whose stretches
+end where Brent's tortoise moves (step _TORTOISE_AT, then doubling).
 The cycle scan, find_cycles_in_range, is the third memoized kernel: a walk
 ends at a seed or cycle member whose tail length is known, and it judges a
 seed exhausted from that length and _walk's closed-form Brent step, so its
@@ -417,18 +420,21 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     loop probes anyway.  trapped[n] is set when the orbit meets members short
     of a minimum, ends at a minimum other than triv, returns to n, or reaches
     a seed whose bit is set.  A walk ends at an orbit value in [lo, n) with
-    that seed's entries, and at a resolved one in (n, hi] if the sum of the
-    two times is within the budget.  So the budget bounds each walk, not the
-    stopping time, which can exceed it; failures depend on lo..hi, and only
-    a range of one seed matches total_stopping_time.
+    that seed's entries, and at a resolved one below lo or in (n, hi] if the
+    sum of the two times is within the budget.  So the budget bounds each
+    walk, not the stopping time, which can exceed it; failures depend on
+    lo..hi, and only a range of one seed matches total_stopping_time.  Joins
+    outside [lo, n] are budget-checked, so they change no failure.
 
     A walk that reaches a minimum within the budget also resolves every orbit
-    value v in (n, hi] it passed: at step k, sigma[v] = s - k, and trapped[v]
-    comes from the walk's end and the members met after step k.  Both depend
-    only on the orbit up to its first minimum, so a walk from v would find the
-    same, and v is not walked.  Longer successes (through the memo below n)
-    and failures are not propagated: a walk from v gets the whole budget
-    again and might end otherwise, so _FAILED above n means "not yet known".
+    value v below lo or in (n, hi] it passed: at step k, sigma[v] = s - k,
+    and trapped[v] comes from the walk's end and the members met after step
+    k.  Both depend only on the orbit up to its first minimum, so a walk from
+    v would find the same, and v is not walked.  Longer successes (through
+    the memo below n) and failures are not propagated: a walk from v gets the
+    whole budget again and might end otherwise, so _FAILED outside [lo, n]
+    means "not yet known".  As values below lo hold entries too,
+    trapped.count(1) counts the seeds' bits only when lo = 1.
     Returns (failures, best, best_trivial, (sigma, trapped)): best and
     best_trivial are the first (sigma, n) with the largest sigma over all
     seeds and over those with a clear trapped bit, or (-1, 0).
@@ -442,7 +448,7 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     probe = minima | members
     lim0 = min(budget, _TORTOISE_AT)
     cap = min(budget, _FAILED - 1)  # the longest success joined or propagated
-    path = []  # v, k of the walk's orbit values in (n, hi], flat
+    path = []  # v, k of the walk's orbit values below lo or in (n, hi], flat
     push = path.append
     failures, top, top_n, top_t, top_t_n = [], -1, 0, -1, 0
     for n in range(lo, hi + 1):
@@ -467,16 +473,15 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
                         if v not in members:  # the tortoise: a cycle with no minimum closed
                             break
                         met = k  # a member of a listed cycle, short of its minimum
-                    if v <= n:
-                        if v >= lo:
-                            if v < n:
-                                prior = sigma[v]
-                                s = prior if prior == _FAILED else k + prior
-                                e = trapped[v]
-                            else:  # n is the least member of a cycle with no minimum
-                                e = 1
-                            break
-                    elif v <= hi:
+                    if v <= n and v >= lo:
+                        if v < n:
+                            prior = sigma[v]
+                            s = prior if prior == _FAILED else k + prior
+                            e = trapped[v]
+                        else:  # n is the least member of a cycle with no minimum
+                            e = 1
+                        break
+                    elif v <= hi:  # above n, or below lo
                         prior = sigma[v]
                         if k + prior <= cap:
                             s, e = k + prior, trapped[v]
@@ -556,18 +561,19 @@ def _map_record_ok(rec: dict) -> bool:
 
 
 def _run_journaled(
-    fn, jobs: dict, key: str, header: dict, checkpoint: str | None, workers: int, well_formed
+    fn, jobs: dict, key: tuple, header: dict, checkpoint: str | None, workers: int, well_formed
 ) -> dict:
-    """Run fn on every job and return {job key: fn's journal record}.
+    """Run fn on every job, in the order of jobs, and return {job key: fn's
+    journal record}; with workers > 1, the pending jobs share one pool.
 
-    jobs maps each key to fn's argument; record[key] names the job a record
-    belongs to.  With a checkpoint path, records journaled by an earlier run
-    of the same scan are reused, and each new record is appended and flushed
-    as soon as it exists.  A non-empty journal must start with a scan_header
-    line of schema gcollatz.checkpoint/1 holding header's fields, and every
-    complete record of a job must pass well_formed, else ValueError before any
-    job runs; torn record lines are skipped (their jobs rerun) and a torn last
-    line is sealed.
+    jobs maps each key, a tuple of ints, to fn's argument; a record's values
+    at the fields named in key give its job.  With a checkpoint path, records
+    journaled by an earlier run of the same scan are reused, and each new
+    record is appended and flushed as soon as it exists (in the order of
+    jobs).  A non-empty journal must start with a scan_header line of schema
+    gcollatz.checkpoint/1 holding header's fields, and every complete record
+    of a job must pass well_formed, else ValueError before any job runs; torn
+    record lines are skipped (their jobs rerun) and a torn last line is sealed.
     """
     results = {}
     header = {"type": "scan_header", "schema": "gcollatz.checkpoint/1", **header}
@@ -591,19 +597,22 @@ def _run_journaled(
                     rec = json.loads(line)
                 except json.JSONDecodeError:
                     continue  # line interrupted mid-write; its job reruns
-                if isinstance(rec, dict) and type(rec.get(key)) is int and rec[key] in jobs:
+                job = tuple(rec.get(f) for f in key) if isinstance(rec, dict) else ()
+                if _ints(list(job)) and job in jobs:
                     if not well_formed(rec):
+                        # named by the key fields the header does not give
+                        name = ", ".join(f"{f} {rec[f]}" for f in key if header.get(f) != rec[f])
                         raise ValueError(
-                            f"checkpoint {checkpoint} has a malformed record for {key} {rec[key]}"
+                            f"checkpoint {checkpoint} has a malformed record for {name}"
                         )
-                    results[rec[key]] = rec
+                    results[job] = rec
             opening = "" if data.endswith(b"\n") else "\n"
 
     pending = [args for k, args in jobs.items() if k not in results]
     with open(checkpoint, "a", encoding="utf-8") if checkpoint else nullcontext() as journal:
 
         def record(rec):
-            results[rec[key]] = rec
+            results[tuple(rec[f] for f in key)] = rec
             if journal:
                 journal.write(json.dumps(rec, sort_keys=True) + "\n")
                 journal.flush()
@@ -659,12 +668,13 @@ def verify_range(
         "budget": budget,
         "block_size": block_size,
     }
-    jobs = {b0: (t, b0, b1, mode, minima, budget) for b0, b1 in _blocks(n_start, n_end, block_size)}
+    blocks = _blocks(n_start, n_end, block_size)
+    jobs = {(b0,): (t, b0, b1, mode, minima, budget) for b0, b1 in blocks}
     results = _run_journaled(
-        _certify_block, jobs, "block_start", header, checkpoint, workers, _block_record_ok
+        _certify_block, jobs, ("block_start",), header, checkpoint, workers, _block_record_ok
     )
 
-    recs = [results[b0] for b0 in sorted(results)]
+    recs = [results[b] for b in sorted(results)]
     tops = [r["max_sigma"] for r in recs if r["max_sigma"] is not None]
     best = max(tops, key=lambda s: s[0], default=None)  # on a tie, the earliest block's
     return ScanReport(
@@ -750,46 +760,57 @@ class MaxStoppingScan:
         return {"schema": "gcollatz.max_stopping_scan/1", **asdict(self)}
 
 
-def max_stopping_scan(
-    p: int,
+def max_stopping_scans(
+    ps: Iterable[int],
     n_max: int,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
     checkpoint: str | None = None,
-) -> MaxStoppingScan:
-    """Maximum stopping time over 0 <= q <= p and 1 <= n <= n_max.
+) -> tuple[MaxStoppingScan, ...]:
+    """Maximum stopping time over 0 <= q <= p and 1 <= n <= n_max, one row
+    per p in ps, in the order of ps.
 
     Each (p, q) column is scanned by one in-order memoized pass (the exact
     stopping time of every seed is resolved via already-resolved smaller
-    seeds); columns are independent, so workers parallelize across q.  With
-    a checkpoint path, finished columns are journaled and reruns skip them.
+    seeds).  Columns are independent: those of all rows go to one
+    _run_journaled call and share one pool, largest p (the costliest) first;
+    the rows do not depend on worker count or order.  With a checkpoint path,
+    finished columns are journaled in that order and reruns skip them; the
+    header holds p for one row and the list ps for more.
     """
-    _need_at_least("p", p, 0)
+    ps = list(ps)
+    _need_at_least("p", min(ps, default=0), 0)
     _need_at_least("n_max", n_max, 1)
     _need_at_least("budget", budget, 1)
     _need_at_least("workers", workers, 1)
     header = {
         "kind": "max_stopping_scan",
-        "p": p,
+        "p": ps[0] if len(ps) == 1 else ps,
         "n_max": n_max,
         "budget": budget,
     }
-    jobs = {q: (p, q, n_max, budget) for q in range(p + 1)}
-    by_q = _run_journaled(_sigma_map_scan, jobs, "q", header, checkpoint, workers, _map_record_ok)
-    fields = MapSigmaScan.__dataclass_fields__
-    scans = [MapSigmaScan(**{k: by_q[q][k] for k in fields}) for q in sorted(by_q)]
-    a = max(scans, key=lambda m: m.max_sigma)  # on a tie, the lowest q
-    b = max(scans, key=lambda m: m.max_sigma_trivial)
-    return MaxStoppingScan(
-        p=p,
-        n_max=n_max,
-        budget=budget,
-        per_map=tuple(scans),
-        max_sigma=a.max_sigma,
-        q_at_max=a.q,
-        n_at_max=a.argmax_n,
-        max_sigma_trivial=b.max_sigma_trivial,
-        q_at_max_trivial=b.q,
-        n_at_max_trivial=b.argmax_n_trivial,
-        unknown=sum(m.unknown for m in scans),
+    jobs = {(p, q): (p, q, n_max, budget) for p in sorted(set(ps), reverse=True) for q in range(p + 1)}
+    recs = _run_journaled(
+        _sigma_map_scan, jobs, ("p", "q"), header, checkpoint, workers, _map_record_ok
     )
+    fields = MapSigmaScan.__dataclass_fields__
+
+    def row(p):
+        scans = [MapSigmaScan(**{k: recs[p, q][k] for k in fields}) for q in range(p + 1)]
+        a = max(scans, key=lambda m: m.max_sigma)  # on a tie, the lowest q
+        b = max(scans, key=lambda m: m.max_sigma_trivial)
+        return MaxStoppingScan(
+            p, n_max, budget, tuple(scans),
+            a.max_sigma, a.q, a.argmax_n,
+            b.max_sigma_trivial, b.q, b.argmax_n_trivial,
+            sum(m.unknown for m in scans),
+        )
+
+    return tuple(map(row, ps))
+
+
+def max_stopping_scan(
+    p: int, n_max: int, budget: int = DEFAULT_BUDGET, workers: int = 1, checkpoint: str | None = None
+) -> MaxStoppingScan:
+    """The one row p of max_stopping_scans; workers parallelize across q."""
+    return max_stopping_scans([p], n_max, budget, workers, checkpoint)[0]

@@ -16,6 +16,7 @@ from gcollatz.core import report_json, step, validate_triplet
 from gcollatz.dynamics import (
     find_cycles_in_range,
     max_stopping_scan,
+    max_stopping_scans,
     total_stopping_time,
     trajectory,
     verify_range,
@@ -119,7 +120,7 @@ def table10(tmp_path_factory):
         ]
 
     w1 = run(workers=1, use_ck=True)
-    w8 = run(workers=8, use_ck=False)
+    w8 = list(max_stopping_scans(range(5), 10**7, workers=8))  # every column in one pool
     return SimpleNamespace(w1=w1, w8=w8, paths=paths, rerun=lambda: run(1, True))
 
 

@@ -323,6 +323,35 @@ def test_table_rejects_empty_range(capsys):
     assert exc.value.code == 2
 
 
+def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
+    # all 10 columns of rows p <= 3 share one process pool (one per row
+    # before), and the rows are those of max_stopping_scan run row by row
+    from gcollatz import dynamics
+
+    pools = []
+
+    class CountingPool(dynamics.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", CountingPool)
+    argv = ["table", "--p-max", "3", "--n-max", "500", "--workers", "2"]
+    csv_code, csv_out = run(capsys, *argv)
+    json_code, json_out = run(capsys, *argv, "--format", "json")
+    assert pools == [2, 2] and csv_code == json_code == 0
+
+    rows = []
+    for p in range(4):
+        scan = dynamics.max_stopping_scan(p, 500, workers=1)
+        row = {k: v for k, v in scan.to_dict().items() if k not in ("schema", "n_max", "budget", "per_map")}
+        row["reference"] = cli._reference_max_sigma()[p]
+        row["matches_reference"] = scan.max_sigma == row["reference"]
+        rows.append(row)
+    assert json.loads(json_out)["rows"] == rows
+    assert csv_out.splitlines() == [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
+
+
 # ---------------------------------------------------------------------------
 # cycles
 # ---------------------------------------------------------------------------
@@ -1189,6 +1218,19 @@ def test_workers_env_default(monkeypatch):
     assert default_workers() == 6
     monkeypatch.setenv("GCOLLATZ_WORKERS", "junk")
     assert default_workers() == 1
+
+
+def test_workers_env_read_at_each_call(capsys, monkeypatch):
+    # the parser is built once per process, but --workers falls back to
+    # GCOLLATZ_WORKERS as it is when main() is called
+    argv = ["table", "--p-max", "0", "--n-max", "10"]
+    headers = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("GCOLLATZ_WORKERS", workers)
+        assert main(argv) == 0
+        headers.append(capsys.readouterr().err)
+    assert headers == [f"# table p<= 0 n_max=10 budget=1000000 workers={w}\n" for w in (1, 3)]
+    assert cli._parser() is cli._parser()
 
 
 def test_console_script_entry_point():

@@ -17,6 +17,7 @@ from gcollatz.dynamics import (
     detect_cycle,
     find_cycles_in_range,
     max_stopping_scan,
+    max_stopping_scans,
     total_stopping_time,
     trajectory,
     verify_range,
@@ -719,6 +720,27 @@ def test_max_stopping_scan_refuses_malformed_record(tmp_path, edit):
         max_stopping_scan(2, 2000, checkpoint=str(ck))
 
 
+def test_max_stopping_scans_rows_share_one_journal(tmp_path):
+    # rows in the order asked for, each the one-row scan; the columns run
+    # and are journaled largest p first, ascending q within a row, and a
+    # journal of several rows names them all in its header and resumes
+    ck = tmp_path / "rows.ndjson"
+    rows = max_stopping_scans([2, 0, 3], 300, workers=2, checkpoint=str(ck))
+    assert rows == tuple(max_stopping_scan(p, 300) for p in (2, 0, 3))
+    lines = ck.read_text().splitlines()
+    assert json.loads(lines[0])["p"] == [2, 0, 3]
+    order = [(3, 0), (3, 1), (3, 2), (3, 3), (2, 0), (2, 1), (2, 2), (0, 0)]
+    assert [(r["p"], r["q"]) for r in map(json.loads, lines[1:])] == order
+    rec = json.loads(lines[2])
+    rec["unknown"] = None
+    ck.write_text("\n".join([*lines[:2], json.dumps(rec)]) + "\n")
+    with pytest.raises(ValueError, match=r"malformed record for p 3, q 1$"):
+        max_stopping_scans([2, 0, 3], 300, checkpoint=str(ck))
+    ck.write_text("\n".join(lines[:5]) + "\n")
+    assert max_stopping_scans([2, 0, 3], 300, checkpoint=str(ck)) == rows
+    assert ck.read_text().splitlines() == lines
+
+
 def test_max_stopping_scan_checkpoint_resume(tmp_path):
     ck = tmp_path / "table.ndjson"
     full = max_stopping_scan(2, 1500, checkpoint=str(ck))
@@ -1031,8 +1053,9 @@ def _stopping_times_plain(t, lo, hi, minima, budget, sigma, trapped, triv=None, 
 
 def _kernels_agree(t, lo, hi, minima, budget, triv, members):
     """Run the kernel on its own memo and the plain loop on dicts, and compare
-    the memos over lo..hi, that nothing outside it was touched, and the
-    return values."""
+    the memos over lo..hi and the return values.  Outside lo..hi the kernel
+    may only set values below lo, each to what the plain loop finds for that
+    value alone; a value it did not resolve keeps _FAILED and a clear bit."""
     minima, members = frozenset(minima), frozenset(members)
     *got, (sigma, trapped) = dynamics._stopping_times(t, lo, hi, minima, budget, triv, members)
     sigma0, trapped0 = {}, {}
@@ -1040,12 +1063,23 @@ def _kernels_agree(t, lo, hi, minima, budget, triv, members):
     label = (t.label, lo, hi, sorted(minima), budget, triv, sorted(members))
     assert tuple(got) == want, label
     seeds = range(lo, hi + 1)
-    if isinstance(sigma, dict):
-        assert set(sigma) == set(trapped) == set(seeds), label
-    else:
-        assert set(sigma[:lo]) <= {dynamics._FAILED} and not any(trapped[:lo]), label
     assert {n: sigma[n] for n in seeds} == sigma0, label
     assert {n: trapped[n] for n in seeds} == trapped0, label
+    if isinstance(sigma, dict):
+        assert set(trapped) <= set(sigma) and max(sigma) <= hi, label
+    for v in list(sigma) if isinstance(sigma, dict) else range(lo):
+        if v < lo and (sigma[v], trapped[v]) != (dynamics._FAILED, 0):
+            assert sigma[v] <= budget, label + (v,)
+            assert (sigma[v], trapped[v]) == _alone(t, v, minima, triv, members), label + (v,)
+
+
+@functools.cache
+def _alone(t, v, minima, triv, members):
+    # the plain loop's entries for the one seed v at budget 2000, the largest
+    # of the oracle tests: a time within a smaller budget is the same
+    sigma, trapped = {}, {}
+    _stopping_times_plain(t, v, v, minima, 2000, sigma, trapped, triv, members)
+    return sigma[v], trapped[v]
 
 
 # convergent triplets of both signs, with their cycles from seeds up to 400
@@ -1063,7 +1097,8 @@ def test_stopping_times_match_plain_loop(t):
     # every minimum with the other cycles' members (as the table runs); the
     # least cycle only, so that seeds are trapped in the others; and members
     # of cycles whose minima are not listed.  Ranges from 1, from inside the
-    # array memo, and far out in a dict memo; budgets around the first
+    # array memo, and far out in a dict memo, where walks join the values
+    # below the range that earlier walks resolved; budgets around the first
     # tortoise, and short enough to fail seeds whose smaller orbit values
     # succeed
     cycles = _oracle_cycles(t)
@@ -1076,8 +1111,8 @@ def test_stopping_times_match_plain_loop(t):
         ({c.omega for c in cycles[-1:]}, cycles[-1].omega, least.members),
     ]
     for minima, triv, members in configs:
-        for budget in (1, 2, 3, 17, 256, 257, 2000):
-            for lo, hi in ((1, 400), (250, 600), (10**6 + 1, 10**6 + 300)):
+        for budget in (1, 2, 3, 5, 9, 17, 40, 256, 257, 2000):
+            for lo, hi in ((1, 400), (250, 600), (20001, 20300), (10**12 + 1, 10**12 + 300)):
                 _kernels_agree(t, lo, hi, minima, budget, triv, members)
 
 
@@ -1116,6 +1151,18 @@ def test_big_d_column_walks_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_stopping_times", plain)
     assert rec == dynamics._sigma_map_scan((8, 0, 10**4, 10**6))
+
+
+def test_far_block_walks_join_below_the_block():
+    # seeds from 1e12 fall far below their block before they reach 1; a walk
+    # ends at a value below the block that an earlier walk resolved, so 2000
+    # seeds take about 35k steps (about 336k when every walk went on to 1),
+    # with the plain loop's results
+    t, lo, hi, minima = T_CLASSIC, 10**12 + 1, 10**12 + 2000, frozenset({1})
+    _CountingInt.steps = 0
+    *got, _ = dynamics._stopping_times(_counting(t), lo, hi, minima, 10**6)
+    assert _CountingInt.steps < 100_000
+    assert tuple(got) == _stopping_times_plain(t, lo, hi, minima, 10**6, {}, {})
 
 
 # ---------------------------------------------------------------------------
