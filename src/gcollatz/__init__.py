@@ -31,7 +31,6 @@ from gcollatz.dynamics import (
     descent_time,
     detect_cycle,
     find_cycles_in_range,
-    max_stopping_scan,
     max_stopping_scans,
     total_stopping_time,
     trajectory,

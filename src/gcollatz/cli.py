@@ -403,7 +403,7 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"error [{err.code}]: {err}", file=sys.stderr)
         return 1
-    except (InternalError, VerificationError) as err:
+    except (InternalError, VerificationError, OverflowError, MemoryError) as err:
         print(f"error [{type(err).__name__}]: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:

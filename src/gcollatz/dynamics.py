@@ -572,8 +572,9 @@ def _run_journaled(
     record is appended and flushed as soon as it exists (in the order of
     jobs).  A non-empty journal must start with a scan_header line of schema
     gcollatz.checkpoint/1 holding header's fields, and every complete record
-    of a job must pass well_formed, else ValueError before any job runs; torn
-    record lines are skipped (their jobs rerun) and a torn last line is sealed.
+    of a job must pass well_formed, else ValueError (naming the record by
+    every key field) before any job runs; torn record lines are skipped
+    (their jobs rerun) and a torn last line is sealed.
     """
     results = {}
     header = {"type": "scan_header", "schema": "gcollatz.checkpoint/1", **header}
@@ -600,11 +601,8 @@ def _run_journaled(
                 job = tuple(rec.get(f) for f in key) if isinstance(rec, dict) else ()
                 if _ints(list(job)) and job in jobs:
                     if not well_formed(rec):
-                        # named by the key fields the header does not give
-                        name = ", ".join(f"{f} {rec[f]}" for f in key if header.get(f) != rec[f])
-                        raise ValueError(
-                            f"checkpoint {checkpoint} has a malformed record for {name}"
-                        )
+                        name = ", ".join(f"{f} {v}" for f, v in zip(key, job))
+                        raise ValueError(f"checkpoint {checkpoint} has a malformed record for {name}")
                     results[job] = rec
             opening = "" if data.endswith(b"\n") else "\n"
 
@@ -776,19 +774,15 @@ def max_stopping_scans(
     _run_journaled call and share one pool, largest p (the costliest) first;
     the rows do not depend on worker count or order.  With a checkpoint path,
     finished columns are journaled in that order and reruns skip them; the
-    header holds p for one row and the list ps for more.
+    header's p is the list ps, even for one row, so a journal whose p is a
+    bare int is a different scan and is refused.
     """
     ps = list(ps)
     _need_at_least("p", min(ps, default=0), 0)
     _need_at_least("n_max", n_max, 1)
     _need_at_least("budget", budget, 1)
     _need_at_least("workers", workers, 1)
-    header = {
-        "kind": "max_stopping_scan",
-        "p": ps[0] if len(ps) == 1 else ps,
-        "n_max": n_max,
-        "budget": budget,
-    }
+    header = {"kind": "max_stopping_scan", "p": ps, "n_max": n_max, "budget": budget}
     jobs = {(p, q): (p, q, n_max, budget) for p in sorted(set(ps), reverse=True) for q in range(p + 1)}
     recs = _run_journaled(
         _sigma_map_scan, jobs, ("p", "q"), header, checkpoint, workers, _map_record_ok
@@ -807,10 +801,3 @@ def max_stopping_scans(
         )
 
     return tuple(map(row, ps))
-
-
-def max_stopping_scan(
-    p: int, n_max: int, budget: int = DEFAULT_BUDGET, workers: int = 1, checkpoint: str | None = None
-) -> MaxStoppingScan:
-    """The one row p of max_stopping_scans; workers parallelize across q."""
-    return max_stopping_scans([p], n_max, budget, workers, checkpoint)[0]

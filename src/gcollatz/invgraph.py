@@ -87,26 +87,19 @@ def build_inverse_graph(
         else:
             truncated = True
     frontier = sorted(nodes)
-    for _ in range(max_depth):
+    for depth in range(max_depth + 1):  # the last pass only closes edges at the horizon
         nxt = []
         for n in frontier:
             for m in sorted(preimages(t, n)):
                 if m in nodes:
                     edges.add((m, n))
-                elif len(nodes) < max_nodes:
+                elif depth < max_depth and len(nodes) < max_nodes:
                     nodes.add(m)
                     edges.add((m, n))
                     nxt.append(m)
                 else:
                     truncated = True
         frontier = sorted(nxt)
-    # close edges into the final frontier and detect a cut-off horizon
-    for n in frontier:
-        for m in preimages(t, n):
-            if m in nodes:
-                edges.add((m, n))
-            else:
-                truncated = True
     return InverseGraph(
         triplet=t,
         roots=tuple(roots),

@@ -15,7 +15,6 @@ import pytest
 from gcollatz.core import report_json, step, validate_triplet
 from gcollatz.dynamics import (
     find_cycles_in_range,
-    max_stopping_scan,
     max_stopping_scans,
     total_stopping_time,
     trajectory,
@@ -114,9 +113,10 @@ def table10(tmp_path_factory):
 
     def run(workers, use_ck):
         return [
-            max_stopping_scan(p, 10**7, workers=workers,
-                              checkpoint=paths[p] if use_ck else None)
+            scan
             for p in range(5)
+            for scan in max_stopping_scans([p], 10**7, workers=workers,
+                                           checkpoint=paths[p] if use_ck else None)
         ]
 
     w1 = run(workers=1, use_ck=True)
@@ -239,7 +239,7 @@ def test_criterion_9_cycle_discovery():
 def test_criterion_10_table_comparison(table10):
     # (a) the fast scan agrees with the naive per-seed oracle on n <= 1e4
     for p in range(5):
-        fast = max_stopping_scan(p, 10**4)
+        (fast,) = max_stopping_scans([p], 10**4)
         assert fast.unknown == 0
         for m in fast.per_map:
             t = make_pq(p, m.q)

@@ -225,37 +225,44 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
     assert "Traceback" not in err
 
 
+OVERSIZED = "error [OverflowError]: cannot fit 'int' into an index-sized integer"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "0"), "block_size >= 1, got 0"),
-        (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "-1"), "block_size >= 1, got -1"),
-        (("verify", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
-        (("table", "--p-max", "1", "--n-max", "20", "--budget", "0"), "budget >= 1, got 0"),
-        (("verify", "--p", "3", "--q", "1", "--to", "10", "--workers", "0"), "workers >= 1, got 0"),
-        (("verify", "--p", "3", "--q", "1", "--to", "10", "--workers", "-2"), "workers >= 1, got -2"),
-        (("table", "--p-max", "1", "--n-max", "20", "--workers", "0"), "workers >= 1, got 0"),
-        (("table", "--p-max", "1", "--n-max", "20", "--workers", "-2"), "workers >= 1, got -2"),
-        (("verify", "--p", "1", "--q", "0", "--to", "50", "--minima=-3"), "minima >= 1, got -3"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "0"), "error: need block_size >= 1, got 0"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--block-size", "-1"), "error: need block_size >= 1, got -1"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "error: need budget >= 1, got 0"),
+        (("table", "--p-max", "1", "--n-max", "20", "--budget", "0"), "error: need budget >= 1, got 0"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--workers", "0"), "error: need workers >= 1, got 0"),
+        (("verify", "--p", "3", "--q", "1", "--to", "10", "--workers", "-2"), "error: need workers >= 1, got -2"),
+        (("table", "--p-max", "1", "--n-max", "20", "--workers", "0"), "error: need workers >= 1, got 0"),
+        (("table", "--p-max", "1", "--n-max", "20", "--workers", "-2"), "error: need workers >= 1, got -2"),
+        (("verify", "--p", "1", "--q", "0", "--to", "50", "--minima=-3"), "error: need minima >= 1, got -3"),
         (("verify", "--p", "1", "--q", "0", "--to", "50", "--mode", "attractor", "--minima", "0"),
-         "minima >= 1, got 0"),
-        (("traj", "--p", "1", "--q", "0", "--n", "5", "--stop", "0"), "minima >= 1, got 0"),
-        (("traj", "--p", "3", "--q", "1", "--n", "1", "--descend"), "n >= 2, got 1"),
-        (("cycles", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "budget >= 1, got 0"),
-        (("cycles", "--p", "3", "--q", "1", "--to", "-5"), "n_max >= 1, got -5"),
-        (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "0"), "trials >= 1, got 0"),
-        (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "-1"), "trials >= 1, got -1"),
+         "error: need minima >= 1, got 0"),
+        (("traj", "--p", "1", "--q", "0", "--n", "5", "--stop", "0"), "error: need minima >= 1, got 0"),
+        (("traj", "--p", "3", "--q", "1", "--n", "1", "--descend"), "error: need n >= 2, got 1"),
+        (("cycles", "--p", "3", "--q", "1", "--to", "10", "--budget", "0"), "error: need budget >= 1, got 0"),
+        (("cycles", "--p", "3", "--q", "1", "--to", "-5"), "error: need n_max >= 1, got -5"),
+        (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "0"), "error: need trials >= 1, got 0"),
+        (("identities", "--p", "3", "--q", "1", "--theorem", "31", "--trials", "-1"), "error: need trials >= 1, got -1"),
+        # bounds too large to index a memo: refused at the allocation, before any seed
+        (("cycles", "--p", "1", "--q", "0", "--to", "1e30"), OVERSIZED),
+        (("table", "--p-max", "0", "--n-max", "1e30"), OVERSIZED),
     ],
     ids=["verify-block-0", "verify-block-neg", "verify-budget", "table-budget", "verify-workers-0",
          "verify-workers-neg", "table-workers-0", "table-workers-neg", "verify-minima-neg",
          "verify-attractor-minima-0", "traj-stop-0", "traj-descend-n-1", "cycles-budget",
-         "cycles-to-neg", "identities-trials-0", "identities-trials-neg"],
+         "cycles-to-neg", "identities-trials-0", "identities-trials-neg", "cycles-to-1e30",
+         "table-n-max-1e30"],
 )
 def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.splitlines()[-1] == f"error: need {message}"
+    assert captured.err.splitlines()[-1] == message
     assert captured.out == ""
 
 
@@ -270,6 +277,12 @@ def test_main_names_internal_errors(capsys, monkeypatch):
         monkeypatch.setattr(cli, "trajectory", fail)
         assert main(["traj", "--p", "0", "--q", "0", "--n", "3"]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error [{type(exc).__name__}]: {exc}"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("memo of 1000000001 seeds")
+    monkeypatch.setattr(cli, "max_stopping_scans", out_of_memory)
+    assert main(["table", "--p-max", "0", "--n-max", "1e9"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error [MemoryError]: memo of 1000000001 seeds"
 
 
 def test_traj_refuses_stop_with_descend(capsys):
@@ -325,7 +338,7 @@ def test_table_rejects_empty_range(capsys):
 
 def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
     # all 10 columns of rows p <= 3 share one process pool (one per row
-    # before), and the rows are those of max_stopping_scan run row by row
+    # before), and the rows are those of max_stopping_scans run row by row
     from gcollatz import dynamics
 
     pools = []
@@ -343,7 +356,7 @@ def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
 
     rows = []
     for p in range(4):
-        scan = dynamics.max_stopping_scan(p, 500, workers=1)
+        (scan,) = dynamics.max_stopping_scans([p], 500, workers=1)
         row = {k: v for k, v in scan.to_dict().items() if k not in ("schema", "n_max", "budget", "per_map")}
         row["reference"] = cli._reference_max_sigma()[p]
         row["matches_reference"] = scan.max_sigma == row["reference"]

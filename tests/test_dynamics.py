@@ -16,7 +16,6 @@ from gcollatz.dynamics import (
     descent_time,
     detect_cycle,
     find_cycles_in_range,
-    max_stopping_scan,
     max_stopping_scans,
     total_stopping_time,
     trajectory,
@@ -581,10 +580,26 @@ def test_journal_record_bytes(tmp_path):
     assert lines[1:] == VERIFY_JOURNAL_RECORDS
 
     ck = tmp_path / "table.ndjson"
-    max_stopping_scan(2, 2000, checkpoint=str(ck))
+    max_stopping_scans([2], 2000, checkpoint=str(ck))
     lines = ck.read_text().splitlines()
-    assert json.loads(lines[0])["type"] == "scan_header"
+    header = json.loads(lines[0])
+    assert header["type"] == "scan_header" and header["p"] == [2]  # a list even for one row
     assert lines[1:] == TABLE_JOURNAL_RECORDS
+
+
+def test_max_stopping_scans_refuses_journal_with_bare_int_p(tmp_path):
+    # a one-row journal whose header gives p as a bare int, not the list of
+    # rows, comes from a different scan: it is refused and left as it was
+    ck = tmp_path / "table.ndjson"
+    max_stopping_scans([2], 2000, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["p"] = 2
+    ck.write_text("\n".join([json.dumps(header, sort_keys=True), *lines[1:]]) + "\n")
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match="belongs to a different scan"):
+        max_stopping_scans([2], 2000, checkpoint=str(ck))
+    assert ck.read_bytes() == before
 
 
 def _rewrite_journal(ck, *records):
@@ -623,13 +638,13 @@ def test_max_stopping_scan_record_tie_goes_to_the_lowest_q(tmp_path):
     # holds the record; with no stopping time in any column (every seed
     # unknown) the record is (-1, q 0, n 0)
     ck = tmp_path / "table.ndjson"
-    max_stopping_scan(1, 20, checkpoint=str(ck))
+    max_stopping_scans([1], 20, checkpoint=str(ck))
     _rewrite_journal(ck, _column(1, 9, 3), _column(0, 9, 7))
-    scan = max_stopping_scan(1, 20, checkpoint=str(ck))
+    (scan,) = max_stopping_scans([1], 20, checkpoint=str(ck))
     assert (scan.max_sigma, scan.q_at_max, scan.n_at_max) == (9, 0, 7)
     assert (scan.max_sigma_trivial, scan.q_at_max_trivial, scan.n_at_max_trivial) == (9, 0, 7)
     _rewrite_journal(ck, _column(1, -1, 0, 20), _column(0, -1, 0, 20))
-    scan = max_stopping_scan(1, 20, checkpoint=str(ck))
+    (scan,) = max_stopping_scans([1], 20, checkpoint=str(ck))
     assert (scan.max_sigma, scan.q_at_max, scan.n_at_max) == (-1, 0, 0)
     assert (scan.max_sigma_trivial, scan.q_at_max_trivial, scan.n_at_max_trivial) == (-1, 0, 0)
     assert scan.unknown == 40
@@ -679,7 +694,7 @@ def test_max_stopping_scan_refuses_headerless_checkpoint(tmp_path, first):
     ck.write_text(first + "\n" + TABLE_JOURNAL_RECORDS[0] + "\n")
     for n_max in (2000, 500):
         with pytest.raises(ValueError, match="scan header"):
-            max_stopping_scan(2, n_max, checkpoint=str(ck))
+            max_stopping_scans([2], n_max, checkpoint=str(ck))
     assert ck.read_text() == first + "\n" + TABLE_JOURNAL_RECORDS[0] + "\n"
 
 
@@ -711,22 +726,23 @@ def test_verify_range_refuses_malformed_record(tmp_path, bad):
 )
 def test_max_stopping_scan_refuses_malformed_record(tmp_path, edit):
     ck = tmp_path / "table.ndjson"
-    max_stopping_scan(2, 2000, checkpoint=str(ck))
+    max_stopping_scans([2], 2000, checkpoint=str(ck))
     header = ck.read_text().splitlines()[0]
     rec = json.loads(TABLE_JOURNAL_RECORDS[1])
     edit(rec)
     ck.write_text("\n".join([header, TABLE_JOURNAL_RECORDS[0], json.dumps(rec)]) + "\n")
-    with pytest.raises(ValueError, match=r"checkpoint .* malformed record for q 1$"):
-        max_stopping_scan(2, 2000, checkpoint=str(ck))
+    with pytest.raises(ValueError, match=r"checkpoint .* malformed record for p 2, q 1$"):
+        max_stopping_scans([2], 2000, checkpoint=str(ck))
 
 
 def test_max_stopping_scans_rows_share_one_journal(tmp_path):
-    # rows in the order asked for, each the one-row scan; the columns run
-    # and are journaled largest p first, ascending q within a row, and a
-    # journal of several rows names them all in its header and resumes
+    # rows in the order asked for, each the scan of that row alone; the
+    # columns run and are journaled largest p first, ascending q within a
+    # row, and a journal of several rows names them all in its header and
+    # resumes
     ck = tmp_path / "rows.ndjson"
     rows = max_stopping_scans([2, 0, 3], 300, workers=2, checkpoint=str(ck))
-    assert rows == tuple(max_stopping_scan(p, 300) for p in (2, 0, 3))
+    assert rows == tuple(row for p in (2, 0, 3) for row in max_stopping_scans([p], 300))
     lines = ck.read_text().splitlines()
     assert json.loads(lines[0])["p"] == [2, 0, 3]
     order = [(3, 0), (3, 1), (3, 2), (3, 3), (2, 0), (2, 1), (2, 2), (0, 0)]
@@ -743,13 +759,13 @@ def test_max_stopping_scans_rows_share_one_journal(tmp_path):
 
 def test_max_stopping_scan_checkpoint_resume(tmp_path):
     ck = tmp_path / "table.ndjson"
-    full = max_stopping_scan(2, 1500, checkpoint=str(ck))
+    full = max_stopping_scans([2], 1500, checkpoint=str(ck))
     lines = ck.read_text().splitlines()
     ck.write_text("\n".join(lines[:-1]) + "\n" + lines[-1][:20])  # torn last record
-    assert max_stopping_scan(2, 1500, checkpoint=str(ck)) == full
+    assert max_stopping_scans([2], 1500, checkpoint=str(ck)) == full
     assert ck.read_text().splitlines()[-1] == lines[-1]
     with pytest.raises(ValueError, match="different scan"):
-        max_stopping_scan(2, 1000, checkpoint=str(ck))
+        max_stopping_scans([2], 1000, checkpoint=str(ck))
 
 
 @pytest.mark.parametrize("block_size", [0, -1])
@@ -768,7 +784,7 @@ def test_scans_reject_budget_below_one(tmp_path, budget):
     with pytest.raises(ValueError, match=message):
         verify_range(T_MOD10, 1, 10, budget=budget, checkpoint=str(ck))
     with pytest.raises(ValueError, match=message):
-        max_stopping_scan(1, 20, budget=budget, checkpoint=str(ck))
+        max_stopping_scans([1], 20, budget=budget, checkpoint=str(ck))
     with pytest.raises(ValueError, match=message):
         find_cycles_in_range(T_MOD10, 10, budget=budget)
     assert not ck.exists()
@@ -781,7 +797,7 @@ def test_scans_reject_workers_below_one(tmp_path, workers):
     with pytest.raises(ValueError, match=message):
         verify_range(T_MOD10, 1, 10, workers=workers, checkpoint=str(ck))
     with pytest.raises(ValueError, match=message):
-        max_stopping_scan(1, 20, workers=workers, checkpoint=str(ck))
+        max_stopping_scans([1], 20, workers=workers, checkpoint=str(ck))
     assert not ck.exists()
 
 
@@ -807,10 +823,10 @@ def test_find_cycles_rejects_empty_range():
 
 def test_max_stopping_scan_rejects_bad_column():
     with pytest.raises(ValueError, match=r"^need p >= 0, got -1$"):
-        max_stopping_scan(-1, 20)
+        max_stopping_scans([-1], 20)
     for n_max in (0, -5):
         with pytest.raises(ValueError, match=rf"^need n_max >= 1, got {n_max}$"):
-            max_stopping_scan(1, n_max)
+            max_stopping_scans([1], n_max)
 
 
 def test_scan_report_json_shape():
@@ -831,7 +847,7 @@ def test_scan_report_json_shape():
 def test_max_stopping_scan_small_oracle():
     # brute force over n <= 10 under (2,3,1), minima {1}: the record is
     # sigma(9) = 13 (9 -> 14 -> 7, and 7 needs 11 more steps)
-    scan = max_stopping_scan(0, 10)
+    (scan,) = max_stopping_scans([0], 10)
     assert scan.max_sigma == 13
     assert scan.q_at_max == 0
     assert scan.n_at_max == 9
@@ -839,7 +855,7 @@ def test_max_stopping_scan_small_oracle():
 
 
 def test_max_stopping_scan_matches_naive():
-    scan = max_stopping_scan(2, 2000)
+    (scan,) = max_stopping_scans([2], 2000)
     for m in scan.per_map:
         t = make_pq(2, m.q)
         minima = attractor_minima(2, m.q)
@@ -852,7 +868,7 @@ def test_max_stopping_scan_matches_naive():
 def test_max_stopping_scan_trivial_convention():
     # for (2,2) the exceptional cycle from 67 never reaches the trivial
     # minimum 1, so the trivial-only column must flag unreachable seeds
-    scan = max_stopping_scan(2, 2000)
+    (scan,) = max_stopping_scans([2], 2000)
     m22 = next(m for m in scan.per_map if m.q == 2)
     assert m22.trivial_unreachable > 0
     m20 = next(m for m in scan.per_map if m.q == 0)
@@ -861,8 +877,8 @@ def test_max_stopping_scan_trivial_convention():
 
 
 def test_max_stopping_scan_worker_determinism():
-    a = max_stopping_scan(2, 1500, workers=1)
-    b = max_stopping_scan(2, 1500, workers=4)
+    a = max_stopping_scans([2], 1500, workers=1)
+    b = max_stopping_scans([2], 1500, workers=4)
     assert a == b
 
 

@@ -98,6 +98,15 @@ def test_build_depth_zero():
     assert g.edges == ()
 
 
+def test_build_horizon_pass_closes_edges():
+    # at depth 0 no node joins, yet the edges between the roots 1 and 2
+    # (the trivial cycle) are recorded, and 4, the other preimage of 2, is cut
+    g = build_inverse_graph(T_CLASSIC, {1, 2}, max_depth=0)
+    assert g.nodes == (1, 2)
+    assert g.edges == ((1, 2), (2, 1))
+    assert g.truncated
+
+
 def test_build_depth_four_classic():
     # frontier fixed by brute force: preimages(8) = {5, 16}, so 5 joins at
     # depth 4 together with 16; the cycle edge 1 -> 2 closes inside the ball
