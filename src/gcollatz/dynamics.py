@@ -1,35 +1,12 @@
 """Forward-orbit engines: trajectories, cycle detection, stopping times,
 range verification with checkpoint/resume, and stopping-time record scans.
 
-The range scanners split work into fixed-size blocks (the stopping-time
-table into (p, q) columns) merged in a fixed order, so reports are identical
-regardless of worker count or the order jobs finish in; all columns of a
-table share one process pool, largest p first.  Hot loops inline the map as
-one step for both signs, r = v % m; v = (alpha*v + b*r) // d if r else
-v // d, with (m, b) from _step_form; exactness of the division is guaranteed
-for every validated triplet, and positivity is re-checked once per scan via
-core totality conditions.  Attractor-mode verify and the stopping-time table
-share one memoized kernel, _stopping_times: a walk that reaches the minima
-within the budget resolves every orbit value it passed above the seed or
-below the block, so orbits that climb far before they fall (large d), or
-fall far below a block that starts far out, are walked once, not once per
-seed on them.  Both kernels walk a seed in one step loop whose stretches
-end where Brent's tortoise moves (step _TORTOISE_AT, then doubling).
-The cycle scan, find_cycles_in_range, is the third memoized kernel: a walk
-ends at a seed or cycle member whose tail length is known, and it judges a
-seed exhausted from that length and _walk's closed-form Brent step, so its
-reports are those of detect_cycle run from every seed.
-
-Descent mode takes the first k steps of most seeds from a table over
-r mod d^k, k the largest with d^k <= min(2^14, block length), built from the
-paper's Theorem 3.1: T^j(a*d^k + r) = alpha^s_j(r) * a * d^(k-j) + T^j(r) for
-j <= k.  A seed still at or above itself after k steps (a survivor) goes on
-through the same table, one hop of up to k steps per lookup, until a whole
-hop no longer fits before Brent's first tortoise or the budget, and then one
-step at a time.  Seeds below the table's threshold on a, in a row of d^k that
-reaches down to max(minima), or scanned with budget <= k start at step 0
-instead, and so does every seed of a block with k < 2: a table of depth 1
-settles only d | n.  Either way the report and journal bytes are the same.
+Which function owns which rule: _walk, one orbit under Brent's cycle check;
+find_cycles_in_range, the memoized cycle scan; _step_form, the step every hot
+loop inlines; _descent_table and _descent_seeds, descent mode by Theorem 3.1;
+_stopping_times, the memoized kernel of attractor-mode verify and of each
+(p, q) column of the table; _run_journaled, the job order, process pool and
+checkpoint journal that keep reports independent of the worker count.
 """
 
 from __future__ import annotations
@@ -82,6 +59,16 @@ class Trajectory:
     values: tuple[int, ...]
     terminal: str  # "hit_attractor" | "descended" | "cycle" | "budget_exhausted"
     stopped_at: int | None  # step index, None when the budget ran out
+
+
+def _memo(hi: int, *cells) -> list:
+    """The one-element arrays (or bytearrays) in cells, each repeated for the
+    seeds 0..hi; a MemoryError names hi and the bytes the memo needs."""
+    try:
+        return [c * (hi + 1) for c in cells]
+    except MemoryError:
+        size = (hi + 1) * sum(getattr(c, "itemsize", 1) for c in cells)
+        raise MemoryError(f"a memo of seeds up to {hi} needs {size} bytes") from None
 
 
 def _walk(t: Triplet, n: int, minima: frozenset, descent: bool, budget: int) -> tuple[str, int, int]:
@@ -189,7 +176,7 @@ def find_cycles_in_range(t: Triplet, n_max: int, budget: int = DEFAULT_BUDGET) -
     check_total(t)
     d, alpha = t.d, t.alpha
     m, b = _step_form(d, t.beta, t.kappa0)
-    mu, cyc = array("q", [-1]) * (n_max + 1), array("i", [0]) * (n_max + 1)
+    mu, cyc = _memo(n_max, array("q", [-1]), array("i", [0]))
     found, reach, where = [], [], {}
     path = []  # v, k of the walk's unresolved orbit values in [1, n_max], flat
     push = path.append
@@ -290,8 +277,10 @@ class ScanReport:
 
 
 def _step_form(d: int, beta: int, kappa: int) -> tuple[int, int]:
-    """(m, b) of the inlined step; as v % -d is -[-v]_d, kappa0 = -1 takes
-    (-d, -beta) and needs no branch per step."""
+    """(m, b) of the inlined step r = v % m; v = (alpha*v + b*r) // d if r
+    else v // d.  As v % -d is -[-v]_d, kappa0 = -1 takes (-d, -beta) and
+    needs no branch per step.  It skips core.step's guard: the division is
+    exact for every validated triplet, and a scan calls check_total once."""
     return (d, beta) if kappa > 0 else (-d, -beta)
 
 
@@ -344,10 +333,11 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     hops keep the step count exact: v >= n >= a*d^depth gives x >= amin, so
     by the table's invariant the orbit first falls below n at a hop's end,
     if at all.
-    Other rows start every seed at (n, 0).  A seed not yet below n goes on
-    one step at a time; it fails at the budget or when its orbit meets
-    Brent's tortoise, put down as in _stopping_times (or at the start, if
-    later).  Returns (failures, best), best the first (steps, n) with the
+    Other rows start every seed at (n, 0), and so does every seed of a block
+    with depth < 2 (a table of depth 1 settles only d | n) or budget <= depth.
+    A seed not yet below n goes on one step at a time; it fails at the budget
+    or when its orbit meets Brent's tortoise, put down as in _stopping_times
+    (or at the start, if later).  Returns (failures, best), best the first (steps, n) with the
     most steps or (0, 0).
     """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
@@ -372,6 +362,8 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
             if j > best[0]:  # every survivor that descends takes more steps
                 best = (j, lo + settled.index(j))
             i, e = bisect_left(survivors, lo - base), bisect_right(survivors, hi - base)
+            # entering through the hop loop at step 0 gives the same bytes but measured
+            # about 25% slower on (10,12,8)+ up to 1e6, so survivors start after one hop
             starts = ((base + r, mult[r] * a + tail[r]) for r in survivors[i:e])
             k0, hlim = depth, lim0 - depth  # a hop of up to depth steps ends by lim0
         else:
@@ -427,7 +419,9 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     outside [lo, n] are budget-checked, so they change no failure.
 
     A walk that reaches a minimum within the budget also resolves every orbit
-    value v below lo or in (n, hi] it passed: at step k, sigma[v] = s - k,
+    value v below lo or in (n, hi] it passed, so orbits that climb far before
+    they fall (large d), or fall far below a block that starts far out, are
+    walked once, not once per seed on them: at step k, sigma[v] = s - k,
     and trapped[v] comes from the walk's end and the members met after step
     k.  Both depend only on the orbit up to its first minimum, so a walk from
     v would find the same, and v is not walked.  Longer successes (through
@@ -440,7 +434,7 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     seeds and over those with a clear trapped bit, or (-1, 0).
     """
     if lo <= hi - lo + 1:
-        sigma, trapped = array("I", [_FAILED]) * (hi + 1), bytearray(hi + 1)
+        sigma, trapped = _memo(hi, array("I", [_FAILED]), bytearray(1))
     else:
         sigma, trapped = defaultdict(lambda: _FAILED), defaultdict(int)
     d, alpha = t.d, t.alpha
@@ -713,7 +707,7 @@ class MapSigmaScan:
 
 
 def _sigma_map_scan(args) -> dict:
-    """Scan one (p, q) column; returns its journal record (MapSigmaScan fields).
+    """Scan one (p, q) column; returns its journal record: p and MapSigmaScan.
 
     _stopping_times walks seeds 1..n_max into the full minima, with the
     exceptional cycles' members as members.  The trivial minimum is one of the
@@ -726,17 +720,8 @@ def _sigma_map_scan(args) -> dict:
     failures, best, best_trivial, (_, trapped) = _stopping_times(
         make_pq(p, q), 1, n_max, minima, budget, 2 ** (p - q), members
     )
-    return {
-        "type": "map",
-        "p": p,
-        "q": q,
-        "max_sigma": best[0],
-        "argmax_n": best[1],
-        "max_sigma_trivial": best_trivial[0],
-        "argmax_n_trivial": best_trivial[1],
-        "unknown": len(failures),
-        "trivial_unreachable": trapped.count(1),
-    }
+    scan = MapSigmaScan(q, *best, *best_trivial, len(failures), trapped.count(1))
+    return {"type": "map", "p": p, **asdict(scan)}
 
 
 @dataclass(frozen=True)

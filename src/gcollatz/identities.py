@@ -14,9 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from gcollatz.core import (
-    Decomposition, Triplet, check_total, decompose, iterate, s_count, s_indicator, step,
-)
+from gcollatz.core import Decomposition, Triplet, check_total, decompose, iterate, s_count, step
 from gcollatz.dynamics import DEFAULT_BUDGET, _need_at_least, total_stopping_time
 
 # sampling bounds: keep alpha**k cheap while forcing carries past machine words
@@ -34,10 +32,11 @@ class PreconditionError(ValueError):
 
 
 def thm31_step(t: Triplet, a: int, k: int, n: int) -> int:
-    """alpha^s(n) * a * d^(k-1) + T(n); equals T(a*d^k + n) for k >= 1."""
+    """alpha^s(n) * a * d^(k-1) + T(n), thm31_iterate's one step from
+    a*d^(k-1); equals T(a*d^k + n) for k >= 1."""
     if a < 1 or n < 1 or k < 1:
         raise ValueError("need a >= 1, n >= 1, k >= 1")
-    return t.alpha ** s_indicator(t, n) * a * t.d ** (k - 1) + step(t, n)
+    return thm31_iterate(t, a * t.d ** (k - 1), 1, n)
 
 
 def thm31_iterate(t: Triplet, a: int, k: int, n: int) -> int:
@@ -97,13 +96,10 @@ def _require_unit_family(t: Triplet) -> None:
 
 def thm33_iterate(t: Triplet, a: int, k: int, r: int) -> int:
     """T^(k)(a*d^k + kappa0*r) = a*alpha^k + kappa0*r for the alpha = d+1,
-    beta = -kappa0 family."""
+    beta = -kappa0 family, whose alpha + kappa0*beta is d: thm32_iterate with
+    lambda0 = nu0 = 1."""
     _require_unit_family(t)
-    if a < 1 or not 1 <= r < t.d or k < 0:
-        raise ValueError("need a >= 1, 0 <= k, 1 <= r < d")
-    if a * t.d**k + t.kappa0 * r < 1:
-        raise ValueError("a*d^k + kappa0*r must be >= 1")
-    return a * t.alpha**k + t.kappa0 * r
+    return thm32_iterate(t, a, k, r)
 
 
 def thm33_iterate_2dm1(t: Triplet, a: int, k: int) -> int:
