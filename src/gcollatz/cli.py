@@ -92,6 +92,8 @@ def _resolve_triplet(args) -> Triplet:
     if family:
         if args.p is None or args.q is None:
             raise SystemExit2("family selector needs both --p and --q")
+        if args.kappa != 1:
+            raise SystemExit2("--kappa -1 selects no family member: use --d/--alpha/--beta")
         return make_pq(args.p, args.q)
     if args.d is None or args.alpha is None or args.beta is None:
         raise SystemExit2("explicit selector needs --d, --alpha and --beta")

@@ -411,12 +411,10 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     meets Brent's tortoise (as in detect_cycle), which rides in the set the
     loop probes anyway.  trapped[n] is set when the orbit meets members short
     of a minimum, ends at a minimum other than triv, returns to n, or reaches
-    a seed whose bit is set.  A walk ends at an orbit value in [lo, n) with
-    that seed's entries, and at a resolved one below lo or in (n, hi] if the
-    sum of the two times is within the budget.  So the budget bounds each
-    walk, not the stopping time, which can exceed it; failures depend on
-    lo..hi, and only a range of one seed matches total_stopping_time.  Joins
-    outside [lo, n] are budget-checked, so they change no failure.
+    a seed whose bit is set.  A walk ends at an orbit value v in [lo, n)
+    with v's bit, and with a stopping time iff the two times sum to at most
+    the budget; at a resolved v below lo or in (n, hi] only in that case.
+    So sigma[n] is total_stopping_time(t, n, minima, budget) or _FAILED.
 
     A walk that reaches a minimum within the budget also resolves every orbit
     value v below lo or in (n, hi] it passed, so orbits that climb far before
@@ -424,11 +422,11 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     walked once, not once per seed on them: at step k, sigma[v] = s - k,
     and trapped[v] comes from the walk's end and the members met after step
     k.  Both depend only on the orbit up to its first minimum, so a walk from
-    v would find the same, and v is not walked.  Longer successes (through
-    the memo below n) and failures are not propagated: a walk from v gets the
-    whole budget again and might end otherwise, so _FAILED outside [lo, n]
-    means "not yet known".  As values below lo hold entries too,
-    trapped.count(1) counts the seeds' bits only when lo = 1.
+    v would find the same, and v is not walked.  Failures are not
+    propagated: a walk from v gets the whole budget again and might end
+    otherwise, so _FAILED outside [lo, n] means "not yet known".  As values
+    below lo hold entries too, trapped.count(1) counts the seeds' bits only
+    when lo = 1.
     Returns (failures, best, best_trivial, (sigma, trapped)): best and
     best_trivial are the first (sigma, n) with the largest sigma over all
     seeds and over those with a clear trapped bit, or (-1, 0).
@@ -470,7 +468,7 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
                     if v <= n and v >= lo:
                         if v < n:
                             prior = sigma[v]
-                            s = prior if prior == _FAILED else k + prior
+                            s = k + prior if k + prior <= cap else _FAILED
                             e = trapped[v]
                         else:  # n is the least member of a cycle with no minimum
                             e = 1
@@ -565,13 +563,13 @@ def _run_journaled(
     journaled by an earlier run of the same scan are reused, and each new
     record is appended and flushed as soon as it exists (in the order of
     jobs).  A non-empty journal must start with a scan_header line of schema
-    gcollatz.checkpoint/1 holding header's fields, and every complete record
+    gcollatz.checkpoint/2 holding header's fields, and every complete record
     of a job must pass well_formed, else ValueError (naming the record by
     every key field) before any job runs; torn record lines are skipped
     (their jobs rerun) and a torn last line is sealed.
     """
     results = {}
-    header = {"type": "scan_header", "schema": "gcollatz.checkpoint/1", **header}
+    header = {"type": "scan_header", "schema": "gcollatz.checkpoint/2", **header}
     opening = json.dumps(header, sort_keys=True) + "\n"
     if checkpoint and os.path.exists(checkpoint):
         with open(checkpoint, "rb") as fh:
@@ -584,7 +582,7 @@ def _run_journaled(
                 first = None
             if not isinstance(first, dict) or first.get("type") != "scan_header":
                 raise ValueError(f"checkpoint {checkpoint} does not start with a scan header")
-            # only the current header's keys count, so older journals still resume
+            # only the current header's keys count: a field no longer written is ignored
             if any(first.get(k) != v for k, v in header.items()):
                 raise ValueError(f"checkpoint {checkpoint} belongs to a different scan")
             for line in lines[1:]:
@@ -634,9 +632,9 @@ def verify_range(
 ) -> ScanReport:
     """Certify every n in [n_start, n_end] (see _certify_block for the modes).
 
-    The report is a pure function of (t, range, mode, minima, budget,
-    block_size) -- worker count only affects wall time.  With a checkpoint
-    path, completed blocks are journaled and a rerun resumes after them.
+    The report is a pure function of (t, range, mode, minima, budget) but
+    for its block_size field; workers change only the wall time.  With a
+    checkpoint path, finished blocks are journaled and a rerun skips them.
     """
     t0 = time.perf_counter()
     if mode not in ("descent", "attractor"):

@@ -49,9 +49,9 @@ def thm31_iterate(t: Triplet, a: int, k: int, n: int) -> int:
 def thm31_sigma(t: Triplet, a: int, k: int, n: int, minima, budget: int = DEFAULT_BUDGET) -> int | None:
     """Stopping time of a*d^k + n computed through the k-step identity.
 
-    Equals k plus the stopping time of the identity image; the inner call
-    gets the budget shifted by k so that unknowns line up with a direct
-    computation under the same budget.
+    Equals k plus the stopping time of the identity image.  budget bounds
+    the whole stopping time, as in total_stopping_time and every scan, so
+    the image gets budget - k steps.
     """
     if budget <= k:
         return None

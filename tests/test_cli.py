@@ -300,6 +300,15 @@ def test_traj_refuses_stop_with_descend(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [["validate"], ["traj", "--n", "75"]])
+def test_family_selector_refuses_kappa_minus_one(capsys, cmd):
+    # every (p, q) member has kappa0 = +1: --kappa -1 used to be dropped silently
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--p", "3", "--q", "1", "--kappa", "-1"])
+    assert exc.value.code == 2
+    assert "--kappa -1" in capsys.readouterr().err
+
+
 def test_traj_and_table_json_schemas(capsys):
     _, out = run(capsys, "traj", "--p", "3", "--q", "1", "--n", "75", "--format", "json")
     schema_validator("trajectory.schema.json").validate(json.loads(out))

@@ -474,18 +474,18 @@ def test_attractor_late_success_across_tortoise():
         assert rep.failures == (n,) and rep.max_sigma is None
 
 
-def test_attractor_budget_bounds_each_walk():
-    # --budget bounds each walk, not the stopping time: a walk that meets a
-    # smaller seed of its block adds that seed's time, so the block's record
-    # can pass the budget and its failures depend on the block size.  With
-    # one seed per block each seed is walked alone, as total_stopping_time.
-    kw = dict(mode="attractor", minima={1}, budget=10)
-    rep = verify_range(T_CLASSIC, 1, 2000, **kw)
-    assert (len(rep.failures), rep.max_sigma) == (919, (1119, 58))
-    rep = verify_range(T_CLASSIC, 1, 2000, block_size=1, **kw)
-    assert (len(rep.failures), rep.max_sigma) == (1956, (11, 10))
+def test_attractor_budget_bounds_the_stopping_time():
+    # --budget bounds the stopping time: a walk that meets a smaller seed of
+    # its block joins that seed's time only if the sum stays within the
+    # budget, so failures and record are those of total_stopping_time seed
+    # by seed, at every block size
     alone = [n for n in range(1, 2001) if total_stopping_time(T_CLASSIC, n, {1}, 10) is None]
-    assert list(rep.failures) == alone
+    assert len(alone) == 1956
+    for block_size in (DEFAULT_BLOCK, 1, 7):
+        rep = verify_range(T_CLASSIC, 1, 2000, mode="attractor", minima={1}, budget=10,
+                           block_size=block_size)
+        assert list(rep.failures) == alone
+        assert rep.max_sigma == (11, 10)
 
 
 def test_attractor_trapped_scan_worker_and_journal_identity(tmp_path):
@@ -507,7 +507,19 @@ MINUS_MAPS = [
 ]
 
 
-@pytest.mark.parametrize("t, minima, budget", MINUS_MAPS, ids=[t.label for t, _, _ in MINUS_MAPS])
+# the same maps at budgets that fail seeds whose smaller orbit values
+# succeed, and (2,3,1)+ at budget 40; a join past the budget would change
+# failures with the block size
+STARVED_MAPS = [(T_CLASSIC, (1,), 40)] + [
+    (t, minima, budget) for (t, minima, _), budget in zip(MINUS_MAPS, (30, 300, 60, 8))
+]
+
+
+@pytest.mark.parametrize(
+    "t, minima, budget",
+    MINUS_MAPS + STARVED_MAPS,
+    ids=[t.label for t, _, _ in MINUS_MAPS] + [f"{t.label}-budget{b}" for t, _, b in STARVED_MAPS],
+)
 @pytest.mark.parametrize("lo", [1, 10**12 + 1])
 def test_attractor_minus_maps_match_naive(t, minima, budget, lo):
     naive = {n: total_stopping_time(t, n, minima, budget) for n in range(lo, lo + 3000)}
@@ -599,6 +611,33 @@ def test_max_stopping_scans_refuses_journal_with_bare_int_p(tmp_path):
     before = ck.read_bytes()
     with pytest.raises(ValueError, match="belongs to a different scan"):
         max_stopping_scans([2], 2000, checkpoint=str(ck))
+    assert ck.read_bytes() == before
+
+
+JOURNALED_SCANS = {
+    "attractor": lambda ck: verify_range(T_CLASSIC, 1, 2000, mode="attractor", minima={1},
+                                         budget=40, block_size=500, checkpoint=ck),
+    "descent": lambda ck: verify_range(T_MOD10, 1, 2000, mode="descent", minima={4},
+                                       block_size=500, checkpoint=ck),
+    "table": lambda ck: max_stopping_scans([2], 2000, budget=13, checkpoint=ck),
+}
+
+
+@pytest.mark.parametrize("scan", JOURNALED_SCANS)
+def test_checkpoint_refuses_version_1_journal(tmp_path, scan):
+    # attractor and table records of gcollatz.checkpoint/1 could hold a
+    # stopping time past the budget; a journal of that version, of any
+    # mode, is refused as a different scan and left as it was
+    ck = tmp_path / "scan.ndjson"
+    JOURNALED_SCANS[scan](str(ck))
+    lines = ck.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["schema"] == "gcollatz.checkpoint/2"
+    header["schema"] = "gcollatz.checkpoint/1"
+    ck.write_text("\n".join([json.dumps(header, sort_keys=True), *lines[1:]]) + "\n")
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match="belongs to a different scan"):
+        JOURNALED_SCANS[scan](str(ck))
     assert ck.read_bytes() == before
 
 
@@ -865,6 +904,18 @@ def test_max_stopping_scan_matches_naive():
         assert m.argmax_n == naive.index(max(naive)) + 1
 
 
+def test_max_stopping_scan_budget_bounds_each_column():
+    # at budget 13 most seeds have no stopping time; each column's unknown
+    # and record are those of total_stopping_time seed by seed
+    for scan in max_stopping_scans(range(4), 3000, budget=13):
+        for m in scan.per_map:
+            t, minima = make_pq(scan.p, m.q), attractor_minima(scan.p, m.q)
+            naive = [total_stopping_time(t, n, minima, 13) for n in range(1, 3001)]
+            top = max((s for s in naive if s is not None), default=-1)
+            assert (m.unknown, m.max_sigma) == (naive.count(None), top), (scan.p, m.q)
+            assert m.argmax_n == (naive.index(top) + 1 if top >= 0 else 0), (scan.p, m.q)
+
+
 def test_max_stopping_scan_trivial_convention():
     # for (2,2) the exceptional cycle from 67 never reaches the trivial
     # minimum 1, so the trivial-only column must flag unreachable seeds
@@ -918,7 +969,7 @@ def _sigma_map_scan_two_memos(args) -> dict:
                         a = k
                     elif v < n:
                         prior = A[v]
-                        a = prior if prior >= inf_ else k + prior
+                        a = prior if prior >= inf_ else (k + prior if k + prior <= budget else unknown_)
                 if b is None:
                     if v == triv:
                         b = k
@@ -926,7 +977,7 @@ def _sigma_map_scan_two_memos(args) -> dict:
                         b = inf_
                     elif v < n:
                         prior = B[v]
-                        b = prior if prior >= inf_ else k + prior
+                        b = prior if prior >= inf_ else (k + prior if k + prior <= budget else unknown_)
                 if v == n:  # n is the minimum of an unregistered cycle
                     if a is None:
                         a = inf_
@@ -1022,6 +1073,7 @@ def _stopping_times_plain(t, lo, hi, minima, budget, sigma, trapped, triv=None, 
     failed = dynamics._FAILED
     probe = minima | members
     lim0 = min(budget, dynamics._TORTOISE_AT)
+    cap = min(budget, failed - 1)
     failures, top, top_n, top_t, top_t_n = [], -1, 0, -1, 0
     for n in range(lo, hi + 1):
         s, x = failed, 0
@@ -1045,7 +1097,7 @@ def _stopping_times_plain(t, lo, hi, minima, budget, sigma, trapped, triv=None, 
                     if v <= n and v >= lo:
                         if v < n:
                             prior = sigma[v]
-                            s = prior if prior == failed else k + prior
+                            s = k + prior if k + prior <= cap else failed
                             x |= trapped[v]
                         else:
                             x = 1
