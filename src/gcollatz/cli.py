@@ -249,7 +249,8 @@ def cmd_table(args) -> int:
     reference = _reference_max_sigma()
     rows = []
     ps = range(args.p_max + 1)
-    for scan in max_stopping_scans(ps, args.n_max, budget=args.budget, workers=args.workers):
+    for scan in max_stopping_scans(ps, args.n_max, budget=args.budget, workers=args.workers,
+                                   checkpoint=args.checkpoint):
         ref = reference.get(scan.p)
         # the table document holds n_max and budget once; rows carry no per-map detail
         row = {k: v for k, v in scan.to_dict().items()
@@ -366,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=exact_int, required=True)
     sp.add_argument("--budget", type=exact_int, default=DEFAULT_BUDGET)
     sp.add_argument("--workers", type=int)  # default_workers() when parsed
+    sp.add_argument("--checkpoint", help="line-delimited JSON journal for resume")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.set_defaults(fn=cmd_table)
 

@@ -6,7 +6,8 @@ find_cycles_in_range, the memoized cycle scan; _step_form, the step every hot
 loop inlines; _descent_table and _descent_seeds, descent mode by Theorem 3.1;
 _stopping_times, the memoized kernel of attractor-mode verify and of each
 (p, q) column of the table; _run_journaled, the job order, process pool and
-checkpoint journal that keep reports independent of the worker count.
+checkpoint journal that keep reports independent of the worker count, and
+the one place that imports the pool machinery, only when it builds a pool.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -404,8 +404,8 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     """Stopping times into minima of the seeds lo..hi, walked in ascending order.
 
     sigma and trapped are the memo, indexed by the seed: a pair of arrays from
-    0 when they are at most twice the range's length, else a pair of
-    defaultdicts that read a missing key as _FAILED and 0.  sigma[n] is n's
+    0 when hi is below 20 range lengths, else a pair of defaultdicts that
+    read a missing key as _FAILED and 0.  sigma[n] is n's
     stopping time, or _FAILED when the budget is spent or the orbit is trapped
     in a cycle with no minimum: it returns to n, or from step _TORTOISE_AT on
     meets Brent's tortoise (as in detect_cycle), which rides in the set the
@@ -431,7 +431,9 @@ def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
     best_trivial are the first (sigma, n) with the largest sigma over all
     seeds and over those with a clear trapped bit, or (-1, 0).
     """
-    if lo <= hi - lo + 1:
+    # the arrays take 5 bytes per value up to hi, the dicts at least about 100
+    # per seed of the range, so the arrays are the smaller memo below 20 lengths
+    if hi < 20 * (hi - lo + 1):
         sigma, trapped = _memo(hi, array("I", [_FAILED]), bytearray(1))
     else:
         sigma, trapped = defaultdict(lambda: _FAILED), defaultdict(int)
@@ -613,6 +615,8 @@ def _run_journaled(
             for args in pending:
                 record(fn(args))
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
                 for rec in pool.map(fn, pending):
                     record(rec)

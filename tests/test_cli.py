@@ -172,6 +172,21 @@ def test_verify_deterministic_across_workers(capsys):
     assert a == b
 
 
+def test_attractor_verify_same_bytes_at_every_memo(capsys):
+    # block sizes 65536, 100000 and 1000 reach the array memo in a block past
+    # the first, one block from 1, and the dict memo in blocks far from 1
+    argv = ["verify", "--d", "12", "--alpha", "14", "--beta", "10", "--mode", "attractor",
+            "--minima", "4,5", "--budget", "1e4", "--to", "1e5"]
+    reports = []
+    for size in (65536, 100000, 1000):
+        code, out = run(capsys, *argv, "--block-size", str(size))
+        doc = json.loads(out)
+        assert code == 1 and doc.pop("block_size") == size
+        reports.append(doc)
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0]["failures"]) == 416
+
+
 def test_verify_rejects_sieve(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--p", "3", "--q", "1", "--to", "5e3", "--sieve"])
@@ -355,16 +370,18 @@ def test_table_rejects_empty_range(capsys):
 def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
     # all 10 columns of rows p <= 3 share one process pool (one per row
     # before), and the rows are those of max_stopping_scans run row by row
+    import concurrent.futures
+
     from gcollatz import dynamics
 
     pools = []
 
-    class CountingPool(dynamics.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     argv = ["table", "--p-max", "3", "--n-max", "500", "--workers", "2"]
     csv_code, csv_out = run(capsys, *argv)
     json_code, json_out = run(capsys, *argv, "--format", "json")
@@ -379,6 +396,54 @@ def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
         rows.append(row)
     assert json.loads(json_out)["rows"] == rows
     assert csv_out.splitlines() == [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
+
+
+def test_table_checkpoint_resumes_with_the_same_bytes(tmp_path, capsys):
+    # a journaled run, a rerun from the whole journal and one from a journal
+    # that lost its last column all print what a run without a journal prints
+    ck = tmp_path / "table.ndjson"
+    argv = ["table", "--p-max", "3", "--n-max", "2000"]
+    _, plain = run(capsys, *argv)
+    outs = [run(capsys, *argv, "--checkpoint", str(ck))]
+    outs.append(run(capsys, *argv, "--checkpoint", str(ck)))
+    lines = ck.read_text().splitlines()
+    assert len(lines) == 1 + 10
+    ck.write_text("\n".join(lines[:-1]) + "\n")
+    outs.append(run(capsys, *argv, "--checkpoint", str(ck)))
+    assert outs == [(0, plain)] * 3
+    assert ck.read_text().splitlines() == lines
+
+
+def test_table_checkpoint_refuses_another_n_max(tmp_path, capsys):
+    ck = tmp_path / "table.ndjson"
+    assert main(["table", "--p-max", "1", "--n-max", "500", "--checkpoint", str(ck)]) == 0
+    journal = ck.read_bytes()
+    capsys.readouterr()
+    assert main(["table", "--p-max", "1", "--n-max", "600", "--checkpoint", str(ck)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: checkpoint {ck} belongs to a different scan"
+    assert ck.read_bytes() == journal
+
+
+def test_cold_start_imports_no_process_pool():
+    # only a run that builds a pool loads multiprocessing; a serial run never does
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gcollatz
+
+    src = str(Path(gcollatz.__file__).resolve().parents[1])
+    code = (
+        "import sys, gcollatz.cli, gcollatz.family; gcollatz.family.exceptional_registry(); "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
