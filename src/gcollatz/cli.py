@@ -3,7 +3,9 @@
 Outputs go to stdout (or --out PATH) and are deterministic for a fixed
 command line; worker count and wall time never change report bytes, so a
 human-readable run header goes to stderr instead.  Numeric bounds accept
-scientific notation parsed to exact integers (1e7 -> 10000000).
+scientific notation parsed to exact integers (1e7 -> 10000000).  Each
+subcommand imports the functions it runs when it is called, so a start
+loads only the modules of its command.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ from decimal import Decimal, InvalidOperation
 from importlib import resources
 
 from gcollatz import __version__
-from gcollatz.core import DomainError, InternalError, Triplet, report_json, validate_triplet
-from gcollatz.dynamics import (
+from gcollatz.core import (
     DEFAULT_BLOCK,
     DEFAULT_BUDGET,
-    find_cycles_in_range,
-    max_stopping_scans,
-    trajectory,
-    verify_range,
+    DomainError,
+    InternalError,
+    Triplet,
+    report_json,
+    validate_triplet,
 )
 from gcollatz.family import (
     VerificationError,
@@ -33,8 +35,6 @@ from gcollatz.family import (
     make_pq,
     registry_diagnostics,
 )
-from gcollatz.identities import PreconditionError, check_identity
-from gcollatz.invgraph import build_inverse_graph, export_dot, export_json
 
 WORKERS_ENV = "GCOLLATZ_WORKERS"
 MAX_INT_DIGITS = 4300  # CPython's default int/str conversion limit
@@ -172,6 +172,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_traj(args) -> int:
+    from gcollatz.dynamics import trajectory
+
     t = _resolve_triplet(args)
     if args.descend:
         stop = "descent"
@@ -202,6 +204,8 @@ def cmd_traj(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from gcollatz.dynamics import verify_range
+
     t = _resolve_triplet(args)
     minima = args.minima
     if minima is None:
@@ -241,6 +245,8 @@ def _reference_max_sigma() -> dict[int, int]:
 
 
 def cmd_table(args) -> int:
+    from gcollatz.dynamics import max_stopping_scans
+
     if args.p_max < 0 or args.n_max < 1:
         raise SystemExit2("need --p-max >= 0 and --n-max >= 1")
     _header(
@@ -267,6 +273,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_cycles(args) -> int:
+    from gcollatz.dynamics import find_cycles_in_range
+
     t = _resolve_triplet(args)
     _header(f"triplet={t.label} n<= {args.to} budget={args.budget}")
     scan = find_cycles_in_range(t, args.to, budget=args.budget)
@@ -289,6 +297,8 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from gcollatz.identities import PreconditionError, check_identity
+
     t = _resolve_triplet(args)
     try:
         rep = check_identity(args.theorem, t, trials=args.trials, seed=args.seed)
@@ -310,6 +320,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from gcollatz.invgraph import build_inverse_graph, export_dot, export_json
+
     t = _resolve_triplet(args)
     g = build_inverse_graph(t, set(args.root), args.depth, max_nodes=args.max_nodes)
     _emit(export_dot(g) if args.format == "dot" else export_json(g), args.out)

@@ -14,6 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+DEFAULT_BUDGET = 10**6  # a seed with no stopping time within this many steps is unresolved
+DEFAULT_BLOCK = 2**16  # seeds per verify block: one journal record, one pool job
+
 
 class DomainError(ValueError):
     """Raised when triplet parameters violate a well-definedness condition."""

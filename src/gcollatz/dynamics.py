@@ -24,11 +24,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable
 
-from gcollatz.core import Triplet, check_total, step
+from gcollatz.core import DEFAULT_BLOCK, DEFAULT_BUDGET, Triplet, check_total, step
 from gcollatz.family import Cycle, attractor_minima, cycle_through, exceptional_registry, make_pq
-
-DEFAULT_BUDGET = 10**6
-DEFAULT_BLOCK = 2**16
 
 # array('I') sentinel: no stopping time (budget spent or an unregistered cycle)
 _FAILED = 2**32 - 1
@@ -762,15 +759,18 @@ def max_stopping_scans(
     the rows do not depend on worker count or order.  With a checkpoint path,
     finished columns are journaled in that order and reruns skip them; the
     header's p is the list ps, even for one row, so a journal whose p is a
-    bare int is a different scan and is refused.
+    bare int is a different scan and is refused.  The header also lists each
+    column's sorted attractor minima, in job order, so a journal written
+    under another cycle registry is refused too.
     """
     ps = list(ps)
     _need_at_least("p", min(ps, default=0), 0)
     _need_at_least("n_max", n_max, 1)
     _need_at_least("budget", budget, 1)
     _need_at_least("workers", workers, 1)
-    header = {"kind": "max_stopping_scan", "p": ps, "n_max": n_max, "budget": budget}
     jobs = {(p, q): (p, q, n_max, budget) for p in sorted(set(ps), reverse=True) for q in range(p + 1)}
+    header = {"kind": "max_stopping_scan", "p": ps, "n_max": n_max, "budget": budget,
+              "minima": [sorted(attractor_minima(p, q)) for p, q in jobs]}
     recs = _run_journaled(
         _sigma_map_scan, jobs, ("p", "q"), header, checkpoint, workers, _map_record_ok
     )

@@ -14,8 +14,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from gcollatz.core import Decomposition, Triplet, check_total, decompose, iterate, s_count, step
-from gcollatz.dynamics import DEFAULT_BUDGET, _need_at_least, total_stopping_time
+from gcollatz.core import (
+    DEFAULT_BUDGET,
+    Decomposition,
+    Triplet,
+    check_total,
+    decompose,
+    iterate,
+    s_count,
+    step,
+)
+from gcollatz.dynamics import _need_at_least, total_stopping_time
 
 # sampling bounds: keep alpha**k cheap while forcing carries past machine words
 MAX_A = 10**6

@@ -289,20 +289,20 @@ def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
 
 
 def test_main_names_internal_errors(capsys, monkeypatch):
-    from gcollatz import cli
+    from gcollatz import dynamics
     from gcollatz.core import InternalError
     from gcollatz.family import VerificationError
 
     for exc in (InternalError("T(1) is not a positive integer"), VerificationError("cycle does not close")):
         def fail(*args, **kwargs):
             raise exc
-        monkeypatch.setattr(cli, "trajectory", fail)
+        monkeypatch.setattr(dynamics, "trajectory", fail)
         assert main(["traj", "--p", "0", "--q", "0", "--n", "3"]) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error [{type(exc).__name__}]: {exc}"
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("memo of 1000000001 seeds")
-    monkeypatch.setattr(cli, "max_stopping_scans", out_of_memory)
+    monkeypatch.setattr(dynamics, "max_stopping_scans", out_of_memory)
     assert main(["table", "--p-max", "0", "--n-max", "1e9"]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == "error [MemoryError]: memo of 1000000001 seeds"
 
@@ -425,25 +425,58 @@ def test_table_checkpoint_refuses_another_n_max(tmp_path, capsys):
 
 
 def test_cold_start_imports_no_process_pool():
-    # only a run that builds a pool loads multiprocessing; a serial run never does
+    # only a run that builds a pool loads multiprocessing; a serial run never
+    # does.  A cold start loads the package, cli, core and family only, and a
+    # command loads the module it runs: validate never loads dynamics
     import os
     import subprocess
     import sys
+    import textwrap
     from pathlib import Path
 
     import gcollatz
 
     src = str(Path(gcollatz.__file__).resolve().parents[1])
-    code = (
-        "import sys, gcollatz.cli, gcollatz.family; gcollatz.family.exceptional_registry(); "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    )
+    code = textwrap.dedent("""
+        import sys, gcollatz.cli, gcollatz.family
+        gcollatz.family.exceptional_registry()
+        print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))
+        print(sorted(m for m in sys.modules if m.partition('.')[0] == 'gcollatz'))
+        import contextlib, io
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = gcollatz.cli.main(['validate', '--p', '3', '--q', '1'])
+        print(status, 'gcollatz.dynamics' in sys.modules)
+    """)
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    assert res.stdout.splitlines() == [
+        "[]",
+        "['gcollatz', 'gcollatz.cli', 'gcollatz.core', 'gcollatz.family']",
+        "0 False",
+    ]
+
+
+def test_package_namespace_resolves_every_public_name():
+    # every public name is the object its submodule defines, whether reached
+    # by attribute, star import or dir(); an unknown name is an AttributeError
+    import importlib
+
+    import gcollatz
+
+    assert gcollatz.__all__
+    for name in gcollatz.__all__:
+        obj = getattr(gcollatz, name)
+        assert obj.__module__.startswith("gcollatz.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    namespace = {}
+    exec("from gcollatz import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(gcollatz.__all__)
+    assert set(gcollatz.__all__) <= set(dir(gcollatz))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gcollatz.no_such_name
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,22 @@ def test_max_stopping_scans_refuses_journal_with_bare_int_p(tmp_path):
     assert ck.read_bytes() == before
 
 
+def test_max_stopping_scans_refuses_journal_of_another_registry(tmp_path, monkeypatch):
+    # a column's records depend on the cycle registry through its minima: a
+    # journal written with only the trivial cycles known is a different scan
+    # under the real registry, refused and left as it was
+    ck = tmp_path / "table.ndjson"
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "exceptional_registry", lambda: {})
+        m.setattr(dynamics, "attractor_minima", lambda p, q: frozenset({2 ** (p - q)}))
+        max_stopping_scans([1], 1000, checkpoint=str(ck))
+    assert json.loads(ck.read_text().splitlines()[0])["minima"] == [[2], [1]]
+    before = ck.read_bytes()
+    with pytest.raises(ValueError, match="belongs to a different scan"):
+        max_stopping_scans([1], 1000, checkpoint=str(ck))
+    assert ck.read_bytes() == before
+
+
 JOURNALED_SCANS = {
     "attractor": lambda ck: verify_range(T_CLASSIC, 1, 2000, mode="attractor", minima={1},
                                          budget=40, block_size=500, checkpoint=ck),
