@@ -164,13 +164,18 @@ def s_indicator(t: Triplet, n: int) -> int:
     return 0 if n % t.d == 0 else 1
 
 
-def s_count(t: Triplet, n: int, k: int) -> int:
-    """Number of indices 0 <= i < k with the i-th iterate not divisible by d."""
+def iterate_with_s(t: Triplet, n: int, k: int) -> tuple[int, int]:
+    """(T^(k)(n), s_count(t, n, k)) from one walk of k steps through step."""
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
-    total = 0
+    d, total = t.d, 0
     for _ in range(k):
-        if n % t.d != 0:
+        if n % d != 0:
             total += 1
         n = step(t, n)
-    return total
+    return n, total
+
+
+def s_count(t: Triplet, n: int, k: int) -> int:
+    """Number of indices 0 <= i < k with the i-th iterate not divisible by d."""
+    return iterate_with_s(t, n, k)[1]

@@ -21,7 +21,7 @@ from gcollatz.core import (
     check_total,
     decompose,
     iterate,
-    s_count,
+    iterate_with_s,
     step,
 )
 from gcollatz.dynamics import _need_at_least, total_stopping_time
@@ -49,10 +49,12 @@ def thm31_step(t: Triplet, a: int, k: int, n: int) -> int:
 
 
 def thm31_iterate(t: Triplet, a: int, k: int, n: int) -> int:
-    """alpha^s_k(n) * a + T^(k)(n); equals T^(k)(a*d^k + n) for k >= 0."""
+    """alpha^s_k(n) * a + T^(k)(n), both from one walk of the orbit of n;
+    equals T^(k)(a*d^k + n) for k >= 0."""
     if a < 1 or n < 1 or k < 0:
         raise ValueError("need a >= 1, n >= 1, k >= 0")
-    return t.alpha ** s_count(t, n, k) * a + iterate(t, n, k)
+    tk, s = iterate_with_s(t, n, k)
+    return t.alpha**s * a + tk
 
 
 def thm31_sigma(t: Triplet, a: int, k: int, n: int, minima, budget: int = DEFAULT_BUDGET) -> int | None:

@@ -563,6 +563,15 @@ def test_graph_truncation(capsys):
     assert json.loads(out)["truncated"] is True
 
 
+@pytest.mark.parametrize("root, depth", [("0", "0"), ("0", "2"), ("-3", "1")])
+def test_graph_refuses_root_below_one(capsys, root, depth):
+    code = main(["graph", "--p", "0", "--q", "0", "--root", root, "--depth", depth])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: need n >= 1, got {root}\n"
+    assert captured.out == ""
+
+
 def test_graph_deterministic(capsys):
     argv = ("graph", "--p", "0", "--q", "0", "--root", "1", "--depth", "6")
     _, a = run(capsys, *argv)

@@ -11,6 +11,7 @@ from gcollatz.core import (
     InternalError,
     decompose,
     iterate,
+    iterate_with_s,
     residue,
     s_count,
     s_indicator,
@@ -185,6 +186,37 @@ def test_residue_bounds(t, n):
 @settings(max_examples=100)
 def test_s_count_recurrence(t, n, k):
     assert s_count(t, n, k + 1) == s_count(t, n, k) + s_indicator(t, iterate(t, n, k))
+
+
+def _step_by_step(t, n, k):
+    # T^k(n) and the count of iterates T^i(n), i < k, not divisible by d
+    s = 0
+    for _ in range(k):
+        s += n % t.d != 0
+        n = step(t, n)
+    return n, s
+
+
+@given(triplets(), st.integers(1, 10**6), st.integers(0, 30))
+@settings(max_examples=100)
+def test_one_walk_matches_step_by_step(t, n, k):
+    tk, s = _step_by_step(t, n, k)
+    assert iterate_with_s(t, n, k) == (tk, s)
+    assert iterate(t, n, k) == tk
+    assert s_count(t, n, k) == s
+
+
+@pytest.mark.parametrize("walk", [iterate, s_count, iterate_with_s])
+def test_walks_reject_pathological_minus_triplet(walk):
+    # the walks step through step, so they refuse (3,4,-5)- at T(1) as it does
+    with pytest.raises(InternalError):
+        walk(validate_triplet(3, 4, -5, -1), 1, 1)
+
+
+@pytest.mark.parametrize("walk", [iterate, s_count, iterate_with_s])
+def test_walks_reject_negative_count(walk):
+    with pytest.raises(ValueError, match=r"^iteration count must be >= 0, got -1$"):
+        walk(validate_triplet(2, 3, 1), 5, -1)
 
 
 @given(triplets())

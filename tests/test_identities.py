@@ -98,6 +98,18 @@ def test_thm31_matches_iteration(a, k, n):
         assert thm31_iterate(t, a, k, n) == iterate(t, m, k)
 
 
+@given(st.integers(1, 10**5), st.integers(0, 20), st.integers(1, 10**4))
+@settings(max_examples=100, deadline=None)
+def test_thm31_iterate_matches_step_by_step(a, k, n):
+    # alpha^s_k(n) * a + T^k(n), with both walked one step at a time
+    for t in (T_CLASSIC, T_MOD10, T_341, T_231M):
+        v, s = n, 0
+        for _ in range(k):
+            s += v % t.d != 0
+            v = step(t, v)
+        assert thm31_iterate(t, a, k, n) == t.alpha**s * a + v
+
+
 @given(st.integers(1, 10**5), st.integers(0, 12), st.integers(1, 9))
 @settings(max_examples=150, deadline=None)
 def test_thm32_matches_iteration(a, k, r):

@@ -1,5 +1,6 @@
 """Backward mapping and inverse-orbit graph construction."""
 
+import random
 from math import gcd
 
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcollatz.core import DomainError, step, validate_triplet
-from gcollatz.invgraph import build_inverse_graph, export_dot, export_json, parse_json, preimages
+from gcollatz.invgraph import (
+    InverseGraph,
+    build_inverse_graph,
+    export_dot,
+    export_json,
+    parse_json,
+    preimages,
+)
 
 T_CLASSIC = validate_triplet(2, 3, 1)
 T_MOD10 = validate_triplet(10, 12, 8)
@@ -133,6 +141,73 @@ def test_truncated_iff_cap_cut_something():
     # depth horizon always leaves the d*n parent unexplored
     g2 = build_inverse_graph(T_MOD10, {4}, max_depth=1)
     assert g2.truncated
+
+
+def _reference_graph(t, roots, max_depth, max_nodes):
+    # the expansion the graph was first built with: preimages of every node,
+    # an edge set filled while expanding, and a last pass at the depth
+    # horizon that closes edges and marks unexplored preimages
+    roots = sorted(set(roots))
+    nodes, edges, truncated = set(), set(), False
+    for r in roots:
+        if len(nodes) < max_nodes:
+            nodes.add(r)
+        else:
+            truncated = True
+    frontier = sorted(nodes)
+    for depth in range(max_depth + 1):
+        nxt = []
+        for n in frontier:
+            for m in sorted(preimages(t, n)):
+                if m in nodes:
+                    edges.add((m, n))
+                elif depth < max_depth and len(nodes) < max_nodes:
+                    nodes.add(m)
+                    edges.add((m, n))
+                    nxt.append(m)
+                else:
+                    truncated = True
+        frontier = sorted(nxt)
+    return InverseGraph(t, tuple(roots), tuple(sorted(nodes)), tuple(sorted(edges)), truncated)
+
+
+def _reference_dot(g):
+    # the DOT writer graphs were first exported with: a list of lines, joined once
+    lines = ["digraph inverse_orbit {"]
+    for n in g.nodes:
+        lines.append(f"  {n};")
+    for m, n in g.edges:
+        lines.append(f"  {m} -> {n};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+ORACLE_TRIPLETS = (
+    T_CLASSIC,
+    T_MOD10,
+    T_MOD5,
+    validate_triplet(3, 4, -1),
+    validate_triplet(3, 4, 1, -1),
+    validate_triplet(257, 258, 256),
+    validate_triplet(3, 4, -5, -1),  # not total: T(1) = -2, so root 1 has no out-edge
+)
+CAPS = (1, 2, 5, 50, 500, 10**6)
+
+
+@pytest.mark.parametrize("t", ORACLE_TRIPLETS, ids=lambda t: t.label)
+def test_build_matches_reference_expansion(t):
+    rng = random.Random(t.label)
+    for case in range(60):
+        if t.label == "(3,4,-5)-":
+            roots = {1}
+        else:
+            roots = {rng.randint(1, 3000) for _ in range(rng.randint(1, 4))}
+        depth, cap = rng.randint(0, 12), CAPS[case % len(CAPS)]
+        want = _reference_graph(t, roots, depth, cap)
+        got = build_inverse_graph(t, roots, depth, max_nodes=cap)
+        assert got == want, (sorted(roots), depth, cap)
+        assert export_dot(got) == _reference_dot(want)
+        assert export_json(got) == export_json(want)
 
 
 # ---------------------------------------------------------------------------
