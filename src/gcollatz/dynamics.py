@@ -287,37 +287,49 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
 
     n = a*d^depth + r descends at step j <= depth iff a*c_j > T^j(r) - r, with
     c_j = d^(depth-j) * (d^j - alpha^s_j(r)), never 0 as d does not divide
-    alpha.  Returns jstar[r], the first j with c_j > 0 or 0; the classes with
-    jstar 0 ("survivors"); for every class, hop[r] = jstar[r] or depth,
-    mult[r] = alpha^s * d^(depth-hop) and tail[r] = T^hop(r), so that
-    T^hop(a*d^depth + r) = mult[r]*a + tail[r]; and amin, the least a from
+    alpha; each c_j is computed once per (j, s), not once per class and step.
+    Returns jstar[r], the first j with c_j > 0 or 0; the classes with jstar 0
+    ("survivors"); for every class, steps[r] = (hop, mult) with hop = jstar[r]
+    or depth and mult = alpha^s * d^(depth-hop), and tail[r] = T^hop(r), so
+    that T^hop(a*d^depth + r) = mult*a + tail[r]; and amin, the least a from
     which every class descends at its jstar and no earlier step.  So for
     x >= amin, no orbit value of x*d^depth + r falls below it before step
-    hop[r], and a survivor stays at or above it for depth steps.  Each
-    (s, hop) has one shared int, so mult costs a pointer per class.
+    hop, and a survivor stays at or above it for depth steps.  Each (hop, s)
+    has one shared pair, so steps costs a pointer per class.
     """
     m, b = _step_form(d, beta, kappa)
     size = d**depth
-    jstar, hop = bytearray(size), bytearray(size)
-    survivors, mult, tail, shared = [], [], [], {}
+    # cs[j][s] = c_j and pairs[j][s] = (j, mult) when s of the first j steps
+    # start off the multiples of d
+    cs = [[d ** (depth - j) * (d**j - alpha**s) for s in range(j + 1)] for j in range(depth + 1)]
+    pairs = [[(j, alpha**s * d ** (depth - j)) for s in range(j + 1)] for j in range(depth + 1)]
+    jstar = bytearray(size)
+    survivors, steps, tail = [], [], []
     amin = 0
     for r in range(size):
         v, s = r, 0
         for j in range(1, depth + 1):
             x = v % m
-            v, s = ((alpha * v + b * x) // d, s + 1) if x else (v // d, s)
-            c = d ** (depth - j) * (d**j - alpha**s)
+            if x:
+                v = (alpha * v + b * x) // d
+                s += 1
+            else:
+                v //= d
+            c = cs[j][s]
             if c > 0:  # descends here once a*c > v - r
                 jstar[r] = j
-                amin = max(amin, (v - r) // c + 1)
+                least = (v - r) // c + 1
+                if least > amin:
+                    amin = least
                 break
-            amin = max(amin, -((r - v) // c))  # no descent yet while a*c <= v - r
+            least = -((r - v) // c)  # no descent yet while a*c <= v - r
+            if least > amin:
+                amin = least
         else:
             survivors.append(r)
-        hop[r] = j
-        mult.append(shared.setdefault((s, j), alpha**s * d ** (depth - j)))
+        steps.append(pairs[j][s])
         tail.append(v)
-    return jstar, survivors, hop, mult, tail, amin
+    return jstar, survivors, steps, tail, amin
 
 
 def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget: int):
@@ -325,11 +337,13 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     enters the minima; n = 1 and minima members are base cases.  In a row of
     the table with a >= amin and seeds above max(minima), no orbit value at or
     above n is a minimum: a settled class counts at its jstar, and a survivor
-    goes on by hops, v = mult[r]*x + tail[r] for x, r = divmod(v, d^depth),
-    while a whole hop fits before the first tortoise and the budget.  The
-    hops keep the step count exact: v >= n >= a*d^depth gives x >= amin, so
-    by the table's invariant the orbit first falls below n at a hop's end,
-    if at all.
+    goes on by hops while a whole hop fits before the first tortoise and the
+    budget: with r = v mod d^depth and (hop, mult) = steps[r], one lookup, v
+    is mult*(v // d^depth) + tail[r] after hop more steps.  The hops keep the
+    step count exact: v >= n >= a*d^depth gives v // d^depth >= amin, so by
+    the table's invariant the orbit first falls below n at a hop's end, if
+    at all.  A seed sets its tortoise and step limit only once it leaves the
+    hops.
     Other rows start every seed at (n, 0), and so does every seed of a block
     with depth < 2 (a table of depth 1 settles only d | n) or budget <= depth.
     A seed not yet below n goes on one step at a time; it fails at the budget
@@ -346,7 +360,7 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
         depth += 1
     table = _descent_table(d, alpha, beta, kappa, depth) if 1 < depth < budget else None
     if table:
-        jstar, survivors, hop, mult, tail, amin = table
+        jstar, survivors, steps, tail, amin = table
     size = d**depth if table else bend + 1  # without a table the block is one row
     failures, best = [], (0, 0)
     for a in range(bstart // size, bend // size + 1):
@@ -361,22 +375,24 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
             i, e = bisect_left(survivors, lo - base), bisect_right(survivors, hi - base)
             # entering through the hop loop at step 0 gives the same bytes but measured
             # about 25% slower on (10,12,8)+ up to 1e6, so survivors start after one hop
-            starts = ((base + r, mult[r] * a + tail[r]) for r in survivors[i:e])
+            starts = ((base + r, steps[r][1] * a + tail[r]) for r in survivors[i:e])
             k0, hlim = depth, lim0 - depth  # a hop of up to depth steps ends by lim0
         else:
             starts, k0, hlim = zip(range(lo, hi + 1), range(lo, hi + 1)), 0, -1
         for n, v in starts:
             if low and (n == 1 or n in minima):
                 continue
-            k, tortoise, lim = k0, 0, lim0  # no orbit value is 0
+            k = k0
             while k <= hlim and v >= n:
-                x, r = divmod(v, size)
-                k += hop[r]
-                v = mult[r] * x + tail[r]
+                r = v % size
+                h, mu = steps[r]
+                k += h
+                v = mu * (v // size) + tail[r]
             if v < n:  # descended at a hop's end
                 if k > best[0]:
                     best = (k, n)
                 continue
+            tortoise, lim = 0, lim0  # no orbit value is 0
             while True:
                 while k < lim:
                     r = v % m
@@ -555,7 +571,8 @@ def _run_journaled(
     fn, jobs: dict, key: tuple, header: dict, checkpoint: str | None, workers: int, well_formed
 ) -> dict:
     """Run fn on every job, in the order of jobs, and return {job key: fn's
-    journal record}; with workers > 1, the pending jobs share one pool.
+    journal record}; with workers > 1, the pending jobs share one pool of at
+    most workers, pending jobs and os.cpu_count() processes.
 
     jobs maps each key, a tuple of ints, to fn's argument; a record's values
     at the fields named in key give its job.  With a checkpoint path, records
@@ -608,13 +625,15 @@ def _run_journaled(
 
         if journal:
             journal.write(opening)
-        if workers <= 1 or len(pending) <= 1:
+        # no more processes than jobs or CPUs: records do not depend on the count
+        workers = min(workers, len(pending), os.cpu_count() or 1)
+        if workers <= 1:
             for args in pending:
                 record(fn(args))
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for rec in pool.map(fn, pending):
                     record(rec)
     return results

@@ -122,12 +122,14 @@ def export_dot(g: InverseGraph) -> str:
 
 
 def export_json(g: InverseGraph) -> str:
+    """JSON document; json writes the graph's tuples as arrays, so they go in
+    as they are, not copied into lists."""
     doc = {
         "schema": "gcollatz.inverse_graph/1",
         "triplet": g.triplet.as_dict(),
-        "roots": list(g.roots),
-        "nodes": list(g.nodes),
-        "edges": [list(e) for e in g.edges],
+        "roots": g.roots,
+        "nodes": g.nodes,
+        "edges": g.edges,
         "truncated": g.truncated,
     }
     return report_json(doc)

@@ -371,6 +371,7 @@ def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
     # all 10 columns of rows p <= 3 share one process pool (one per row
     # before), and the rows are those of max_stopping_scans run row by row
     import concurrent.futures
+    import os
 
     from gcollatz import dynamics
 
@@ -382,6 +383,7 @@ def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a pool of 2 on a 1-CPU machine too
     argv = ["table", "--p-max", "3", "--n-max", "500", "--workers", "2"]
     csv_code, csv_out = run(capsys, *argv)
     json_code, json_out = run(capsys, *argv, "--format", "json")
@@ -396,6 +398,49 @@ def test_table_runs_every_column_in_one_pool(capsys, monkeypatch):
         rows.append(row)
     assert json.loads(json_out)["rows"] == rows
     assert csv_out.splitlines() == [",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]
+
+
+def test_pool_never_outnumbers_the_cpus(capsys, monkeypatch):
+    # --workers 5000 (or GCOLLATZ_WORKERS=5000) would be one process per
+    # block; the pool gets at most os.cpu_count() of them, none on one CPU or
+    # when the count is unknown, and the report is the serial run's bytes.
+    # The stand-in pool records its size and runs the jobs in-process, so no
+    # process starts.
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.delenv("GCOLLATZ_WORKERS", raising=False)
+    verify = ["verify", "--p", "0", "--q", "0", "--to", "5000", "--block-size", "500"]
+    table = ["table", "--p-max", "2", "--n-max", "300"]
+    serial = {"verify": run(capsys, *verify), "table": run(capsys, *table)}
+    assert pools == []
+    for cpus, pool in ((3, [3]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for argv in (verify, table):
+            pools.clear()
+            assert run(capsys, *argv, "--workers", "5000") == serial[argv[0]]
+            assert pools == pool, (argv[0], cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # more CPUs than the 6 columns
+    monkeypatch.setenv("GCOLLATZ_WORKERS", "5000")
+    pools.clear()
+    assert run(capsys, *verify) == serial["verify"] and run(capsys, *table) == serial["table"]
+    assert pools == [10, 6]
 
 
 def test_table_checkpoint_resumes_with_the_same_bytes(tmp_path, capsys):

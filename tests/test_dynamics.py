@@ -1349,7 +1349,7 @@ def test_descent_table_past_64_bits():
     # (2,23,1)+ at depth 14: the survivor of the class of all ones has
     # multiplier 23^14 > 2^63.  Most seeds climb and fail at the budget.
     t = validate_triplet(2, 23, 1)
-    assert max(dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, 14)[3]) == 23**14
+    assert max(mult for _, mult in dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, 14)[2]) == 23**14
     for budget in (15, 40):
         _assert_descent_matches(t, (), 1, 20000, DEFAULT_BLOCK, budget)
         _assert_descent_matches(t, (), 10**12 + 17, 10**12 + 20016, 20000, budget)
@@ -1373,7 +1373,7 @@ def test_descent_kernel_reads_the_table_from_its_first_row(monkeypatch):
     # (10,12,8)+ below 1e5 takes, from a = 3 on.  The block's maximum then
     # names the first row of 10^4 seeds that the kernel took from the table.
     settled = bytearray([200]) * 10**4
-    fake = (settled, [], settled, [1] * 10**4, [0] * 10**4, 3)
+    fake = (settled, [], [(200, 1)] * 10**4, [0] * 10**4, 3)
     monkeypatch.setattr(dynamics, "_descent_table", lambda *args: fake)
 
     def first_table_seed(minima, budget):
@@ -1416,7 +1416,7 @@ def test_descent_table_survivor_past_the_tortoise(n, steps):
     # the second seed, after the second (step 512) too
     args = (T_CLASSIC, n - 500, n + 500, "descent", (1,), 10**6)
     table = dynamics._descent_table(2, 3, 1, 1, 9)
-    assert n % 2**9 in table[1] and table[5] <= n // 2**9
+    assert n % 2**9 in table[1] and table[4] <= n // 2**9
     assert dynamics._certify_block(args)["max_sigma"] == [steps, n]
     _assert_descent_matches(T_CLASSIC, (1,), n - 500, n + 500, 1001, 10**6)
 
@@ -1431,7 +1431,7 @@ def test_descent_table_below_a_large_threshold(t, depth):
     # rows below, at and past the threshold, blocks cut at and off row ends;
     # the budget stops the seeds that are minima of cycles
     size = t.d**depth
-    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[5]
+    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[4]
     assert amin in (24, 3)
     for block_size in (size, size + 1, 3 * size - 5):
         for budget in (depth, depth + 1, 50, 10**4):
@@ -1452,7 +1452,7 @@ def test_descent_hops_hand_over_to_steps(monkeypatch, t, minima, block):
     # mid-orbit, and must descend, fail and count steps as the plain loop.
     # From 1, the range runs two rows past the threshold on a.
     depth = _depth(t.d, block)
-    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[5] if depth > 1 else 1
+    amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[4] if depth > 1 else 1
     ranges = [(1, max(3000, (amin + 2) * t.d**depth)), (10**12 + 17, 10**12 + 3016)]
     ends = sorted({depth, depth + 1, 2 * depth - 1, 2 * depth, 2 * depth + 1} - {0})
     for lo, hi in ranges:
@@ -1503,20 +1503,42 @@ def _takes_table_path(t, depth, a, r, jstar) -> bool:
 def test_descent_table_classes(t, depth):
     # each class against direct iteration, and the threshold is the least a
     # (at least 1; class 0 at a = 0 is n = 0) from which every class is right.
-    # From there a hop of hop[r] steps ends at mult[r]*a + tail[r], with no
-    # orbit value below the seed before its end.
-    jstar, survivors, hop, mult, tail, amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
+    # From there a hop of hop steps, (hop, mult) = steps[r], ends at
+    # mult*a + tail[r], with no orbit value below the seed before its end.
+    jstar, survivors, steps, tail, amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
     size = t.d**depth
     assert list(survivors) == [r for r in range(size) if jstar[r] == 0]
-    assert list(hop) == [j or depth for j in jstar]
+    assert [hop for hop, _ in steps] == [j or depth for j in jstar]
     for a in (amin, amin + 1, 10**9 + 7):
         for r in range(size):
             assert _takes_table_path(t, depth, a, r, jstar[r]), (a, r)
             n = a * size + r
-            orbit = [iterate(t, n, j) for j in range(hop[r] + 1)]
-            assert orbit[-1] == mult[r] * a + tail[r], (a, r)
+            hop, mult = steps[r]
+            orbit = [iterate(t, n, j) for j in range(hop + 1)]
+            assert orbit[-1] == mult * a + tail[r], (a, r)
             assert min(orbit[:-1]) >= n, (a, r)
     least = 0
     while not all(_takes_table_path(t, depth, least, r, jstar[r]) for r in range(1, size)):
         least += 1
     assert amin == max(1, least)
+
+
+@pytest.mark.parametrize(
+    "t, depth, entries",
+    [(T_MOD10, 4, 5), (make_pq(0, 0), 14, None), (validate_triplet(3, 4, 1, -1), 8, None),
+     (validate_triplet(2, 23, 1), 14, None)],
+    ids=lambda x: getattr(x, "label", str(x)),
+)
+def test_descent_table_shares_its_entries(t, depth, entries):
+    # a class holds a pointer to a shared (hop, mult) pair: one object per
+    # distinct pair, and each pair is alpha^s * d^(depth-hop) for an s <= hop,
+    # so at most one per (hop, s).  (10,12,8)+ at depth 4 has five of them.
+    steps = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)[2]
+    shared = {id(e): e for e in steps}
+    assert len(shared) == len(set(steps))
+    assert len(shared) <= depth * (depth + 3) // 2
+    for hop, mult in shared.values():
+        assert 1 <= hop <= depth
+        assert any(mult == t.alpha**s * t.d ** (depth - hop) for s in range(hop + 1)), (hop, mult)
+    if entries is not None:
+        assert len(shared) == entries

@@ -1,5 +1,6 @@
 """Backward mapping and inverse-orbit graph construction."""
 
+import json
 import random
 from math import gcd
 
@@ -236,6 +237,27 @@ def test_export_json_roundtrip():
     doc = export_json(g)
     assert parse_json(doc) == g
     assert export_json(parse_json(doc)) == doc
+
+
+@pytest.mark.parametrize(
+    "t, roots, depth, cap",
+    [(T_CLASSIC, {1}, 12, 10**6), (T_MOD10, {4}, 6, 10**6), (T_MOD10, {9}, 0, 10**6),
+     (T_CLASSIC, {27}, 20, 50), (T_MOD10, {4}, 1, 2), (validate_triplet(3, 4, 1, -1), {7}, 8, 10**6)],
+)
+def test_export_json_same_bytes_as_list_document(t, roots, depth, cap):
+    # the graph's tuples go into the document as they are; the bytes are those
+    # of the document that copied roots, nodes and every edge into lists, with
+    # no edges ({9} at depth 0) and truncated by the cap ({27}, {4} at 2 nodes)
+    g = build_inverse_graph(t, roots, max_depth=depth, max_nodes=cap)
+    doc = {
+        "schema": "gcollatz.inverse_graph/1",
+        "triplet": g.triplet.as_dict(),
+        "roots": list(g.roots),
+        "nodes": list(g.nodes),
+        "edges": [list(e) for e in g.edges],
+        "truncated": g.truncated,
+    }
+    assert export_json(g) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_tree_edge_count_off_cycle():
