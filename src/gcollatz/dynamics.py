@@ -3,17 +3,19 @@ range verification with checkpoint/resume, and stopping-time record scans.
 
 Which function owns which rule: _walk, one orbit under Brent's cycle check;
 find_cycles_in_range, the memoized cycle scan; _step_form, the step every hot
-loop inlines; _descent_table and _descent_seeds, descent mode by Theorem 3.1;
-_stopping_times, the memoized kernel of attractor-mode verify and of each
-(p, q) column of the table; _run_journaled, the job order, process pool and
-checkpoint journal that keep reports independent of the worker count, and
-the one place that imports the pool machinery, only when it builds a pool.
+loop inlines; _descent_table, _split_survivors and _descent_seeds, descent
+mode by Theorem 3.1; _stopping_times, the memoized kernel of attractor-mode
+verify and of each (p, q) column of the table; _run_journaled, the job
+order, process pool and checkpoint journal that keep reports independent of
+the worker count, and the one place that imports the pool machinery, only
+when it builds a pool.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from array import array
 from bisect import bisect_left, bisect_right
@@ -22,6 +24,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd, inf
 from typing import Iterable
 
 from gcollatz.core import DEFAULT_BLOCK, DEFAULT_BUDGET, Triplet, check_total, step
@@ -39,6 +42,11 @@ _TORTOISE_AT = 256
 
 # Most residue classes mod d^k in a descent table (see _descent_table)
 _TABLE_CLASSES = 2**14
+
+# Seeds each descent table still runs without its split before the process
+# builds the split (see _split_payback).  Per process, like the cache of
+# _descent_table that holds the split; no report depends on it.
+_split_due: dict[tuple, float] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +289,34 @@ def _step_form(d: int, beta: int, kappa: int) -> tuple[int, int]:
     return (d, beta) if kappa > 0 else (-d, -beta)
 
 
-@lru_cache(maxsize=4)
-def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
+@lru_cache(maxsize=8)
+def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int, split: bool = False):
     """Descent table over r mod d^depth.
 
     n = a*d^depth + r descends at step j <= depth iff a*c_j > T^j(r) - r, with
     c_j = d^(depth-j) * (d^j - alpha^s_j(r)), never 0 as d does not divide
     alpha; each c_j is computed once per (j, s), not once per class and step.
-    Returns jstar[r], the first j with c_j > 0 or 0; the classes with jstar 0
-    ("survivors"); for every class, steps[r] = (hop, mult) with hop = jstar[r]
-    or depth and mult = alpha^s * d^(depth-hop), and tail[r] = T^hop(r), so
-    that T^hop(a*d^depth + r) = mult*a + tail[r]; and amin, the least a from
+    Returns (jstar, survivors, steps, tail, amin, split): jstar[r], the first
+    j with c_j > 0 or 0; the classes with jstar 0 ("survivors"); for every
+    class, steps[r] = (hop, mult) with hop = jstar[r] or depth and mult =
+    alpha^s * d^(depth-hop), and tail[r] = T^hop(r), so that
+    T^hop(a*d^depth + r) = mult*a + tail[r]; and amin, the least a from
     which every class descends at its jstar and no earlier step.  So for
     x >= amin, no orbit value of x*d^depth + r falls below it before step
     hop, and a survivor stays at or above it for depth steps.  Each (hop, s)
     has one shared pair, so steps costs a pointer per class.
+
+    split is None unless asked for; then it is (arow, rows), the survivors
+    sieved one step deeper without a table of depth + 1 (_split_survivors).
+    In a row a >= amin with a // d >= arow, rows[a % d] = (surv, settle)
+    lists, in ascending order, the survivors that stay at or above their
+    seed for depth + 1 steps and those that fall below it at step depth + 1:
+    the classes with jstar 0 and depth + 1 in the depth + 1 table.  The
+    split holds survivors * d pointers.
     """
+    if split:
+        table = _descent_table(d, alpha, beta, kappa, depth)
+        return *table[:5], _split_survivors(d, alpha, beta, kappa, depth, table)
     m, b = _step_form(d, beta, kappa)
     size = d**depth
     # cs[j][s] = c_j and pairs[j][s] = (j, mult) when s of the first j steps
@@ -329,7 +349,66 @@ def _descent_table(d: int, alpha: int, beta: int, kappa: int, depth: int):
             survivors.append(r)
         steps.append(pairs[j][s])
         tail.append(v)
-    return jstar, survivors, steps, tail, amin
+    return jstar, survivors, steps, tail, amin, None
+
+
+def _split_survivors(d: int, alpha: int, beta: int, kappa: int, depth: int, table) -> tuple:
+    """(arow, rows) of _descent_table's split.  Survivor r in a row
+    a = d*a' + j is class r + j*d^depth mod d^(depth+1), at mult*d*a' + v,
+    v = mult*j + tail[r], after depth steps.  As mult*d*a' adds nothing
+    mod d, step depth + 1 takes it to alpha^s' * a' + T(v), below the seed
+    iff a'*c > T(v) - r - j*d^depth, c = d^(depth+1) - alpha^s' as in the
+    table; arow is the least a' from which every class goes as listed."""
+    _, survivors, steps, tail, _, _ = table
+    m, b = _step_form(d, beta, kappa)
+    size = d**depth
+    rows = [([], []) for _ in range(d)]
+    arow = 0
+    for r in survivors:
+        mult, t0 = steps[r][1], tail[r]
+        codd, ceven = size * d - mult * alpha, size * d - mult  # c after a step off or on d | v
+        for j, (surv, settle) in enumerate(rows):
+            v = mult * j + t0
+            x = v % m
+            if x:
+                v, c = (alpha * v + b * x) // d, codd
+            else:
+                v, c = v // d, ceven
+            diff = v - r - j * size
+            if c > 0:  # falls below its seed at step depth + 1 once a'*c > diff
+                settle.append(r)
+                least = diff // c + 1
+            else:
+                surv.append(r)
+                least = -(-diff // c)
+            if least > arow:
+                arow = least
+    return arow, rows
+
+
+def _split_payback(d: int, alpha: int, depth: int, table) -> float:
+    """Seeds a process runs through table before it builds the split.
+    An entry of the split (survivors * d) costs about 0.3 µs to build, and
+    a row that skips the walk of a settler (a survivor that falls at step
+    depth + 1) saves about 0.3 µs or more (CPython 3.11, one core of a
+    shared 2-core x86-64 host).  A seed skips settlers /
+    d^(depth+1) walks on average, settlers counted as _split_survivors
+    lists them, so the split is due once the seeds run without it would
+    have skipped as many walks as it has entries: running without it has
+    then cost about what building it costs, and a short run never builds
+    it.  That is 500,000 seeds on (10,12,8)+ at depth 4, 131,000 on (3,3)
+    and 9.6e7 on (6,6), whose 2.06M entries skip a walk for 2% of seeds."""
+    _, survivors, steps, tail, _, _ = table
+    size = d ** (depth + 1)
+    settlers = 0
+    for r in survivors:
+        mult = steps[r][1]
+        if size > mult * alpha:  # falls at step depth + 1 after either step
+            settlers += d
+        elif size > mult:  # falls for the digits j with d | mult*j + tail[r]
+            g = gcd(mult, d)
+            settlers += g if tail[r] % g == 0 else 0
+    return len(survivors) * d * size / settlers if settlers else inf
 
 
 def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget: int):
@@ -344,12 +423,16 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
     the table's invariant the orbit first falls below n at a hop's end, if
     at all.  A seed sets its tortoise and step limit only once it leaves the
     hops.
+    Once the process has run _split_payback's seeds through the table, the
+    table comes with its split, and a row with a // d >= arow too walks
+    only the survivors of rows[a % d]; the others fall below their seed at
+    step depth + 1, and the row counts only the first of them in range.
     Other rows start every seed at (n, 0), and so does every seed of a block
     with depth < 2 (a table of depth 1 settles only d | n) or budget <= depth.
     A seed not yet below n goes on one step at a time; it fails at the budget
     or when its orbit meets Brent's tortoise, put down as in _stopping_times
-    (or at the start, if later).  Returns (failures, best), best the first (steps, n) with the
-    most steps or (0, 0).
+    (or at the start, if later).  Returns (failures, best), best the first
+    (steps, n) with the most steps or (0, 0).
     """
     d, alpha, beta, kappa = t.d, t.alpha, t.beta, t.kappa0
     m, b = _step_form(d, beta, kappa)
@@ -360,9 +443,18 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
         depth += 1
     table = _descent_table(d, alpha, beta, kappa, depth) if 1 < depth < budget else None
     if table:
-        jstar, survivors, steps, tail, amin = table
+        key = (d, alpha, beta, kappa, depth)
+        due = _split_due.get(key)
+        if due is None:
+            due = _split_payback(d, alpha, depth, table)
+        if due <= 0:
+            table = _descent_table(*key, True)
+        else:
+            _split_due[key] = due - (bend - bstart + 1)
+        jstar, survivors, steps, tail, amin, split = table
+        arow, rows = split or (None, None)
     size = d**depth if table else bend + 1  # without a table the block is one row
-    failures, best = [], (0, 0)
+    failures, most, most_n = [], 0, 0
     for a in range(bstart // size, bend // size + 1):
         base = a * size
         lo, hi = max(bstart, base), min(bend, base + size - 1)
@@ -370,12 +462,18 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
         if table and not low and a >= amin:
             settled = jstar[lo - base:hi - base + 1]
             j = max(settled)
-            if j > best[0]:  # every survivor that descends takes more steps
-                best = (j, lo + settled.index(j))
-            i, e = bisect_left(survivors, lo - base), bisect_right(survivors, hi - base)
+            if j > most:  # every survivor that descends takes more steps
+                most, most_n = j, lo + settled.index(j)
+            walk = survivors
+            if rows and a // d >= arow:
+                walk, settle = rows[a % d]
+                i = bisect_left(settle, lo - base)
+                if depth >= most and i < len(settle) and settle[i] <= hi - base:  # depth + 1 steps
+                    most, most_n = depth + 1, base + settle[i]
+            i, e = bisect_left(walk, lo - base), bisect_right(walk, hi - base)
             # entering through the hop loop at step 0 gives the same bytes but measured
             # about 25% slower on (10,12,8)+ up to 1e6, so survivors start after one hop
-            starts = ((base + r, steps[r][1] * a + tail[r]) for r in survivors[i:e])
+            starts = ((base + r, steps[r][1] * a + tail[r]) for r in walk[i:e])
             k0, hlim = depth, lim0 - depth  # a hop of up to depth steps ends by lim0
         else:
             starts, k0, hlim = zip(range(lo, hi + 1), range(lo, hi + 1)), 0, -1
@@ -389,8 +487,8 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
                 k += h
                 v = mu * (v // size) + tail[r]
             if v < n:  # descended at a hop's end
-                if k > best[0]:
-                    best = (k, n)
+                if k > most:
+                    most, most_n = k, n
                 continue
             tortoise, lim = 0, lim0  # no orbit value is 0
             while True:
@@ -399,8 +497,8 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
                     v = (alpha * v + b * r) // d if r else v // d
                     k += 1
                     if v < n or low and v in minima:
-                        if k > best[0]:
-                            best = (k, n)
+                        if k > most:
+                            most, most_n = k, n
                         break
                     if v == tortoise:  # the orbit repeats from here and never descends
                         k = lim = budget
@@ -410,7 +508,7 @@ def _descent_seeds(t: Triplet, bstart: int, bend: int, minima: frozenset, budget
                         continue
                     failures.append(n)
                 break
-    return failures, best
+    return failures, (most, most_n)
 
 
 def _stopping_times(t, lo, hi, minima, budget, triv=None, members=frozenset()):
@@ -669,6 +767,10 @@ def verify_range(
     if mode == "attractor" and not minima:
         raise ValueError("attractor mode requires a nonempty minima set")
     check_total(t)
+    # the jobs dict holds one entry per block, built before any block runs
+    count = -(-(n_end - n_start + 1) // block_size)
+    if count > sys.maxsize:
+        raise OverflowError(f"{count} blocks of {block_size} seeds do not fit an index")
 
     header = {
         "triplet": t.as_dict(),

@@ -241,6 +241,7 @@ def test_not_total_triplet_is_a_named_error(capsys, argv):
 
 
 OVERSIZED = "error [OverflowError]: cannot fit 'int' into an index-sized integer"
+BLOCKS_1E30 = "error [OverflowError]: 15258789062500000000000000 blocks of 65536 seeds do not fit an index"
 
 
 @pytest.mark.parametrize(
@@ -266,6 +267,9 @@ OVERSIZED = "error [OverflowError]: cannot fit 'int' into an index-sized integer
         # bounds too large to index a memo: refused at the allocation, before any seed
         (("cycles", "--p", "1", "--q", "0", "--to", "1e30"), OVERSIZED),
         (("table", "--p-max", "0", "--n-max", "1e30"), OVERSIZED),
+        # a block count too large to index: refused before the first block is listed
+        (("verify", "--p", "1", "--q", "0", "--to", "1e30"), BLOCKS_1E30),
+        (("verify", "--p", "1", "--q", "0", "--mode", "attractor", "--to", "1e30"), BLOCKS_1E30),
         # bounds that fit an index but not memory: the memo's size is named, nothing is allocated
         (("cycles", "--p", "1", "--q", "0", "--to", "4e18"),
          "error [MemoryError]: a memo of seeds up to 4000000000000000000 needs 48000000000000000012 bytes"),
@@ -278,7 +282,8 @@ OVERSIZED = "error [OverflowError]: cannot fit 'int' into an index-sized integer
          "verify-workers-neg", "table-workers-0", "table-workers-neg", "verify-minima-neg",
          "verify-attractor-minima-0", "traj-stop-0", "traj-descend-n-1", "cycles-budget",
          "cycles-to-neg", "identities-trials-0", "identities-trials-neg", "cycles-to-1e30",
-         "table-n-max-1e30", "cycles-to-4e18", "table-n-max-4e18", "verify-attractor-4e18"],
+         "table-n-max-1e30", "verify-to-1e30", "verify-attractor-to-1e30", "cycles-to-4e18",
+         "table-n-max-4e18", "verify-attractor-4e18"],
 )
 def test_bad_budget_or_block_size_is_a_named_error(capsys, argv, message):
     code = main(list(argv))

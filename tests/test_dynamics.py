@@ -1373,7 +1373,7 @@ def test_descent_kernel_reads_the_table_from_its_first_row(monkeypatch):
     # (10,12,8)+ below 1e5 takes, from a = 3 on.  The block's maximum then
     # names the first row of 10^4 seeds that the kernel took from the table.
     settled = bytearray([200]) * 10**4
-    fake = (settled, [], [(200, 1)] * 10**4, [0] * 10**4, 3)
+    fake = (settled, [], [(200, 1)] * 10**4, [0] * 10**4, 3, None)
     monkeypatch.setattr(dynamics, "_descent_table", lambda *args: fake)
 
     def first_table_seed(minima, budget):
@@ -1467,10 +1467,13 @@ def test_descent_hops_hand_over_to_steps(monkeypatch, t, minima, block):
 
 
 @pytest.mark.parametrize("t, minima", [(T_MOD10, (4,)), (T_CLASSIC, (1,))], ids=["mod10", "classic"])
-def test_descent_survivors_hop_through_the_table(t, minima):
+def test_descent_survivors_hop_through_the_table(monkeypatch, t, minima):
     # a survivor goes on by table hops until the first tortoise, so 1..2e5
     # take under 100k inlined steps on each map (575k on (10,12,8)+ and 168k
-    # on (2,3,1)+ when survivors went one step at a time past the first hop)
+    # on (2,3,1)+ when survivors went one step at a time past the first hop).
+    # As in a fresh process, these 5 blocks stay below the split's payback,
+    # so no split is built with counted steps.
+    monkeypatch.setattr(dynamics, "_split_due", {})
     t, minima = _counting(t), frozenset(minima)
     dynamics._certify_block((t, 1, DEFAULT_BLOCK, "descent", minima, 10**6))  # builds the table
     _CountingInt.steps = 0
@@ -1505,7 +1508,8 @@ def test_descent_table_classes(t, depth):
     # (at least 1; class 0 at a = 0 is n = 0) from which every class is right.
     # From there a hop of hop steps, (hop, mult) = steps[r], ends at
     # mult*a + tail[r], with no orbit value below the seed before its end.
-    jstar, survivors, steps, tail, amin = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
+    jstar, survivors, steps, tail, amin, split = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, depth)
+    assert split is None
     size = t.d**depth
     assert list(survivors) == [r for r in range(size) if jstar[r] == 0]
     assert [hop for hop, _ in steps] == [j or depth for j in jstar]
@@ -1542,3 +1546,112 @@ def test_descent_table_shares_its_entries(t, depth, entries):
         assert any(mult == t.alpha**s * t.d ** (depth - hop) for s in range(hop + 1)), (hop, mult)
     if entries is not None:
         assert len(shared) == entries
+
+
+# the family maps (p, q) with p, q <= 8 and a table at the default block
+# whose split has at most 65,536 entries, so that the depth-(k+1) table it
+# is checked against stays small, with (3,4,1)-; and LARGE_THRESHOLD at one
+# row per block, where the threshold on a // d binds on (4,5,1003)+ (2,
+# while a >= amin = 3 gives a // 4 >= 1 only)
+SPLIT_PQ = {(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3), (4, 4),
+            (5, 0), (5, 1), (5, 2), (5, 3)}
+SPLIT_MAPS = [(make_pq(*pq), DEFAULT_BLOCK) for pq in sorted(SPLIT_PQ)] + [
+    (validate_triplet(3, 4, 1, -1), DEFAULT_BLOCK)
+] + [(t, t.d**depth) for t, depth in LARGE_THRESHOLD]
+
+
+def test_descent_split_is_built_once_it_pays(monkeypatch):
+    # a process builds the split once the seeds it ran through the table
+    # without it would have skipped as many walks as the split has entries:
+    # 46,080 entries and 9,216 settlers per 10^5 seeds on (10,12,8)+ give
+    # 500,000 seeds, so from a cold start the 9th default block is the first
+    # that asks for the split, and a run of a few blocks never builds it.
+    # (6,6) would skip a walk for 2% of its seeds with 2.06M entries.
+    asked = []
+    real = dynamics._descent_table
+
+    def spy(*args):
+        asked.append(args[5:] == (True,))
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_split_due", {})
+    monkeypatch.setattr(dynamics, "_descent_table", spy)
+    t = validate_triplet(10, 12, 8)
+    splits = []
+    for b0, b1 in dynamics._blocks(10**9, 10**9 + 10 * DEFAULT_BLOCK - 1, DEFAULT_BLOCK):
+        asked.clear()
+        dynamics._descent_seeds(t, b0, b1, frozenset(), 5)  # budget depth + 1
+        splits.append(any(asked))
+    assert splits == [False] * 8 + [True] * 2
+    table = real(t.d, t.alpha, t.beta, t.kappa0, 4)
+    assert dynamics._split_payback(t.d, t.alpha, 4, table) == 500_000
+    t = make_pq(6, 6)
+    table = real(t.d, t.alpha, t.beta, t.kappa0, 2)
+    due = dynamics._split_payback(t.d, t.alpha, 2, table)
+    assert len(table[1]) * t.d == 2_056_192 and 1000 * DEFAULT_BLOCK < due < 10**8
+    asked.clear()
+    dynamics._descent_seeds(t, 10**9, 10**9 + DEFAULT_BLOCK - 1, frozenset(), 3)
+    assert not any(asked) and dynamics._split_due[t.d, t.alpha, t.beta, t.kappa0, 2] == due - DEFAULT_BLOCK
+
+
+@pytest.mark.parametrize("t, block", SPLIT_MAPS, ids=lambda x: getattr(x, "label", str(x)))
+def test_descent_split_matches_the_deeper_table(t, block):
+    # a survivor of row a, digit j = a mod d, is the class r + j*d^k of the
+    # depth-(k+1) table, which settles at k + 1 or survives (jstar 0), and
+    # arow is the least a' = a // d from which step k + 1 of every such
+    # class goes as listed.  With the depth-k threshold, it gives the
+    # deeper table's threshold.  _split_payback counts the settlers listed.
+    d, k = t.d, _depth(t.d, block)
+    table = dynamics._descent_table(d, t.alpha, t.beta, t.kappa0, k, True)
+    jstar, survivors, steps, tail, amin, split = table
+    assert dynamics._descent_table(d, t.alpha, t.beta, t.kappa0, k)[:5] == (jstar, survivors, steps, tail, amin)
+    deep = dynamics._descent_table(d, t.alpha, t.beta, t.kappa0, k + 1)
+    arow, rows = split
+    size = d**k
+    assert len(rows) == d
+    for j, (surv, settle) in enumerate(rows):
+        assert surv == [r for r in survivors if deep[0][r + j * size] == 0], j
+        assert settle == [r for r in survivors if deep[0][r + j * size] == k + 1], j
+    assert max(arow, -(-amin // d)) == deep[4]
+    settlers = sum(len(settle) for _, settle in rows)
+    due = len(survivors) * d * d ** (k + 1) / settlers if settlers else float("inf")
+    assert dynamics._split_payback(d, t.alpha, k, table) == due
+
+    def as_listed(a):
+        return all(
+            (iterate(t, n, k + 1) < n) == falls
+            for j, lists in enumerate(rows)
+            for falls, listed in zip((False, True), lists)
+            for n in (a * size * d + j * size + r for r in listed)
+        )
+
+    assert as_listed(arow) and as_listed(arow + 1)
+    assert arow == 0 or not as_listed(arow - 1)
+
+
+@pytest.mark.parametrize("t, block", SPLIT_MAPS, ids=lambda x: getattr(x, "label", str(x)))
+def test_descent_split_rows_match_plain_loop(monkeypatch, t, block):
+    # with the split built from the first block on: windows that cross from
+    # a row with digit d - 1 to one with digit 0, at d*arow (from row amin
+    # on, so that every row the split must not take is in), at d*(arow + 1)
+    # and far out, with budgets k + 1 (a survivor that stays fails there)
+    # and k + 2, in blocks of 1 seed (no table) and of the map's block, with
+    # each of the map's minima sets; on (10,12,8)+ also blocks of 9999 and
+    # 10001, whose tables are one depth apart
+    monkeypatch.setattr(dynamics, "_split_due", {})
+    monkeypatch.setattr(dynamics, "_split_payback", lambda *args: 0)
+    d, k = t.d, _depth(t.d, block)
+    table = dynamics._descent_table(t.d, t.alpha, t.beta, t.kappa0, k, True)
+    amin, arow, size = table[4], table[5][0], d**k
+    blocks = (block, 9999, 10001) if t == validate_triplet(10, 12, 8) else (block,)
+    edges = sorted({d * arow, d * (arow + 1), d * 10**6 + d})
+    windows = []
+    for a in edges:
+        first = min(amin, a - 1) if a == d * arow else a - 1
+        windows.append((max(1, first * size - 2), (a + 1) * size + 2))
+    for minima in [m for s, m in SIEVE_MAPS if s == t] or [()]:
+        for budget in (k + 1, k + 2):
+            for a, (lo, hi) in zip(edges, windows):
+                _assert_descent_matches(t, minima, max(1, a * size - 40), a * size + 40, 1, budget)
+                for b in blocks:
+                    _assert_descent_matches(t, minima, lo, hi, b, budget)
